@@ -11,6 +11,7 @@ from .errors import (
     CapacityError,
     InvalidArgumentError,
     InvalidPlanError,
+    InvariantError,
     MalformedPlanError,
     ParseError,
     SoundnessViolationError,
@@ -77,6 +78,7 @@ __all__ = [
     "Graph",
     "InvalidArgumentError",
     "InvalidPlanError",
+    "InvariantError",
     "MalformedPlanError",
     "ObservationReport",
     "ParseError",

@@ -1,9 +1,10 @@
 """Command-line surface: compute, construct, reduce, verify, generate, benchmark.
 
 Exit codes: 0 success, 1 negative verdict (invalid plan, equivalence
-violation, failed gadget verification), 2 usage or parse errors, 3 capacity
-or budget errors.  All commands are deterministic given identical inputs and
-flags; randomness only enters through explicit seed arguments.
+violation, failed gadget verification, a result failing its re-check), 2
+usage or parse errors, 3 capacity or budget errors.  All commands are
+deterministic given identical inputs and flags; randomness only enters
+through explicit seed arguments.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     CapacityError,
     InvalidArgumentError,
     InvalidPlanError,
+    InvariantError,
     MalformedPlanError,
     ParseError,
     SoundnessViolationError,
@@ -256,9 +258,9 @@ def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     out = domset_to_rtd(g, k)
     dom, witness = has_dominating_set(g, k)
-    if dom:
-        # Re-check the witness against the definition before trusting it.
-        assert all(any(dominates(g, v, u) for v in witness) for u in range(g.n))
+    # Re-check the witness against the definition before trusting it.
+    if dom and not all(any(dominates(g, v, u) for v in witness) for u in range(g.n)):
+        raise InvariantError(f"dominating-set search returned a non-dominating witness {witness}")
     decided, _ = rtd_decision(out.klass, k)
     report = _base_report("verify", [args.graphfile])
     report |= {
@@ -476,6 +478,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SoundnessViolationError as e:
         print(f"SOUNDNESS VIOLATION: {e}", file=sys.stderr)
+        return 1
+    except InvariantError as e:
+        print(f"INTERNAL ERROR: {e}", file=sys.stderr)
         return 1
     except TeachdimError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -46,3 +46,11 @@ class SoundnessViolationError(TeachdimError):
     This error is loud on purpose: it can only fire if the reduction's
     soundness guarantee is broken, so it must never be swallowed.
     """
+
+
+class InvariantError(TeachdimError):
+    """A result failed its re-check against the definition.
+
+    Only a defect in this package can raise it, never bad input, so it
+    reports a negative verdict instead of a usage error.
+    """

@@ -3,11 +3,10 @@
 The workhorse view: a point set S is a teaching set for concept c exactly
 when S hits, for every competing concept c', the set of points where c and
 c' differ.  All searches therefore precompute per-pair difference masks
-(ints, bit i = point i) and look for small hitting sets.
-
-Search order is pinned for reproducibility: candidate sets are enumerated
-by size first and lexicographically within one size, so every reported
-witness is the lexicographically smallest among the minimum-size ones.
+(ints, bit i = point i) and find small hitting sets with one kernel.  Every
+witness is the lexicographically smallest of the minimum-size teaching sets,
+and RTD is one stripping pass in class order that raises k only when a round
+strips nothing, so every result is reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +14,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from .errors import CapacityError, InvalidArgumentError
+from functools import reduce
+from operator import and_, or_
+from .errors import CapacityError, InvalidArgumentError, InvariantError
 from .model import Concept, ConceptClass, TeachingPlan
 
 DEFAULT_SUBSET_ORACLE_CAP = 15
@@ -41,92 +42,102 @@ class RtdResult:
     plan: TeachingPlan
 
 
-def _lex_min_hitting_set(diffs: list[int], budget: int) -> tuple[int, ...] | None:
-    """Smallest, then lexicographically least, set of bit positions hitting every mask.
+def _packing(masks: list[int]) -> tuple[int, int]:
+    """Greedily packed pairwise-disjoint masks, each needing its own point: (count, union)."""
+    count = packed = 0
+    for m in masks:
+        if not m & packed:
+            count += 1
+            packed |= m
+    return count, packed
 
-    Returns None when no hitting set of size <= budget exists.  All masks
-    must be nonzero (equal rows never reach this point).
+
+def _small_hitting_set(masks: list[int], r: int) -> int | None:
+    """Some set of at most r points hitting every mask, as a bitmask, or None.
+
+    A bounded search tree (Niedermeier 2006) that branches on each point of the
+    smallest mask, lowest first, off an explicit stack, so it never recurses.
     """
-    if not diffs:
-        return ()
-    if budget < 0:
-        return None
-    union = 0
-    for d in diffs:
-        union |= d
-    # Points outside the union can never help, and no minimum-size hitting
-    # set uses them, so restricting the universe preserves the lex order.
-    points = [i for i in range(union.bit_length()) if union >> i & 1]
-    diffs = sorted(diffs, key=int.bit_count)
-    # Pairwise-disjoint masks each need their own point: a cheap lower bound.
-    packed = 0
-    lb = 0
-    for d in diffs:
-        if d & packed == 0:
-            lb += 1
-            packed |= d
-    if lb > budget:
-        return None
-    top = min(budget, len(points))
-    for size in range(lb, top + 1):
-        for combo in itertools.combinations(points, size):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            if all(d & m for d in diffs):
-                return combo
+    stack = [(masks, r, 0)]
+    while stack:
+        masks, r, chosen = stack.pop()
+        if not masks:
+            return chosen
+        if r == 1 and (common := reduce(and_, masks)):
+            return chosen | common & -common
+        if r > 1 and _packing(masks)[0] <= r:
+            d = min(masks, key=int.bit_count)
+            for i in reversed(range(d.bit_length())):
+                if d >> i & 1:  # take point i, and leave out the points of d below it
+                    keep = ~(d & ((1 << i) - 1))
+                    child = [m & keep for m in masks if not m >> i & 1]
+                    stack.append((child, r - 1, chosen | 1 << i))
     return None
 
 
-def _pair_masks(klass: ConceptClass) -> list[int]:
-    return [klass.row_mask(i) for i in range(len(klass.concepts))]
+def _lex_min_hitting_set(diffs: list[int], budget: int) -> tuple[int, ...] | None:
+    """Smallest, then lexicographically least, set of bit positions hitting every mask.
 
-
-def _min_ts(masks: list[int], members: list[int], ci: int, budget: int) -> tuple[int, ...] | None:
-    diffs = [masks[j] ^ masks[ci] for j in members if j != ci]
-    return _lex_min_hitting_set(diffs, budget)
+    Returns None above `budget`.  Masks must be nonzero: equal rows never get here.
+    """
+    masks = sorted(set(diffs), key=int.bit_count)
+    size = _packing(masks)[0]
+    while size <= budget and (found := _small_hitting_set(masks, size)) is None:
+        size += 1
+    if size > budget:
+        return None
+    # Fix the least set point by point: the lowest q below found's lowest point
+    # after which size - 1 points above q still hit the masks q misses, else
+    # found's lowest point.  Only packed points fit if they need all `size`.
+    chosen = 0
+    while masks:
+        p = (found & -found).bit_length() - 1
+        count, packed = _packing(masks)
+        fits = (packed if count == size else reduce(or_, masks)) & ((1 << p) - 1)
+        while fits:
+            q = (fits & -fits).bit_length() - 1
+            cut = [m & (-1 << q + 1) for m in masks if not m >> q & 1]
+            rest = _small_hitting_set(cut, size - 1)
+            if rest is not None:
+                p, found = q, rest | 1 << q
+                break
+            fits &= fits - 1
+        chosen |= 1 << p
+        found ^= 1 << p
+        size -= 1
+        masks = [m & (-1 << p + 1) for m in masks if not m >> p & 1]
+    return tuple(i for i in range(chosen.bit_length()) if chosen >> i & 1)
 
 
 def min_teaching_set(c: Concept, klass: ConceptClass) -> TsResult:
-    """Smallest teaching set of `c` with respect to `klass`.
+    """Smallest teaching set of `c`, a member of `klass`.
 
-    Enumerates candidate sets by size then lexicographically, so the witness
-    is deterministic.  `c` must be a member of the class.
+    The witness is the lexicographically least of the minimum-size ones.
     """
     ci = klass.member_index(c)
-    masks = _pair_masks(klass)
-    witness = _min_ts(masks, list(range(len(masks))), ci, klass.width)
-    assert witness is not None  # the full domain always separates distinct rows
+    own = klass.row_mask(ci)
+    diffs = [klass.row_mask(j) ^ own for j in range(len(klass.concepts)) if j != ci]
+    witness = _lex_min_hitting_set(diffs, klass.width)
+    if witness is None:  # the whole domain separates distinct rows
+        raise InvariantError(f"no teaching set found for {c.label!r}")
     return TsResult(len(witness), witness)
 
 
-def _ts_sizes(klass: ConceptClass) -> list[int]:
-    masks = _pair_masks(klass)
-    members = list(range(len(masks)))
-    out = []
-    for ci in members:
-        w = _min_ts(masks, members, ci, klass.width)
-        assert w is not None
-        out.append(len(w))
-    return out
+def _first_extreme(klass: ConceptClass, pick, what: str) -> tuple[int, str]:
+    if not klass.concepts:
+        raise InvalidArgumentError(f"{what} of an empty class is undefined")
+    sizes = [min_teaching_set(c, klass).size for c in klass.concepts]
+    return pick(sizes), klass.concepts[sizes.index(pick(sizes))].label
 
 
 def teaching_dim(klass: ConceptClass) -> tuple[int, str]:
     """Maximum TS over the class and the first concept attaining it."""
-    if not klass.concepts:
-        raise InvalidArgumentError("teaching dimension of an empty class is undefined")
-    sizes = _ts_sizes(klass)
-    best = max(sizes)
-    return best, klass.concepts[sizes.index(best)].label
+    return _first_extreme(klass, max, "teaching dimension")
 
 
 def td_min(klass: ConceptClass) -> tuple[int, str]:
     """Minimum TS over the class and the first concept attaining it."""
-    if not klass.concepts:
-        raise InvalidArgumentError("TD_min of an empty class is undefined")
-    sizes = _ts_sizes(klass)
-    best = min(sizes)
-    return best, klass.concepts[sizes.index(best)].label
+    return _first_extreme(klass, min, "TD_min")
 
 
 def rtd_decision(
@@ -134,58 +145,46 @@ def rtd_decision(
 ) -> tuple[bool, TeachingPlan | None]:
     """Decide RTD(klass) <= k by repeatedly stripping an easy-to-teach concept.
 
-    Each round scans the remaining concepts in class order and removes the
-    first one that has a teaching set of size <= k against the remaining
-    class, recording (concept, witness).  Returns (True, plan) if the class
-    empties and (False, None) on the first round where nothing qualifies.
-    The outcome does not depend on the strip order; `rng`, when given,
-    shuffles the scan order of every round so tests can assert exactly that.
+    Each round strips the first remaining concept, in class order, with a
+    teaching set of size <= k against the remaining class.  Returns (True, plan)
+    if the class empties, else (False, None).  The outcome does not depend on
+    the strip order; `rng`, when given, shuffles every round's scan order.
     """
     if k < 0:
         raise InvalidArgumentError("k must be non-negative")
-    masks = _pair_masks(klass)
-    return _strip_decision(klass, masks, k, rng)
+    _, plan = _strip_decision(klass, k, k, rng)
+    return plan is not None, plan
 
 
 def _strip_decision(
-    klass: ConceptClass, masks: list[int], k: int, rng: random.Random | None
-) -> tuple[bool, TeachingPlan | None]:
+    klass: ConceptClass, k: int, top: int, rng: random.Random | None
+) -> tuple[int, TeachingPlan | None]:
+    """Strip as rtd_decision does, but raise k up to `top` when a round strips nothing."""
+    masks = list(map(klass.row_mask, range(len(klass.concepts))))
     remaining = list(range(len(masks)))
     steps: list[tuple[str, tuple[int, ...]]] = []
     while remaining:
         order = remaining if rng is None else rng.sample(remaining, len(remaining))
-        hit = None
         for ci in order:
-            witness = _min_ts(masks, remaining, ci, k)
+            witness = _lex_min_hitting_set([masks[j] ^ masks[ci] for j in remaining if j != ci], k)
             if witness is not None:
-                hit = (ci, witness)
+                steps.append((klass.concepts[ci].label, witness))
+                remaining.remove(ci)
                 break
-        if hit is None:
-            return False, None
-        ci, witness = hit
-        steps.append((klass.concepts[ci].label, witness))
-        remaining.remove(ci)
-    return True, TeachingPlan(tuple(steps))
+        else:
+            if k == top:
+                return k, None
+            k += 1
+    return k, TeachingPlan(tuple(steps))
 
 
 def rtd(klass: ConceptClass) -> RtdResult:
-    """Exact RTD: the smallest k accepted by the decision procedure.
+    """Exact RTD: one stripping pass from k = 0, raising k only when a round strips nothing.
 
-    Probes k = 0, 1, ... and never beyond ceil(log2 |C|).  That budget
-    always admits a plan: following the minority value of any splitting
-    point isolates some concept after at most that many points.
+    Removing concepts never makes one harder to teach, so k stops at RTD(klass).
     """
-    m = len(klass.concepts)
-    if m == 0:
-        return RtdResult(0, TeachingPlan(()))
-    masks = _pair_masks(klass)
-    cap = (m - 1).bit_length()  # == ceil(log2(m)) for m >= 1
-    for k in range(cap + 1):
-        ok, plan = _strip_decision(klass, masks, k, None)
-        if ok:
-            assert plan is not None
-            return RtdResult(k, plan)
-    raise AssertionError("unreachable: RTD exceeded its ceil(log2 |C|) bound")
+    value, plan = _strip_decision(klass, 0, klass.width, None)
+    return RtdResult(value, plan)
 
 
 def rtd_oracle_subsets(klass: ConceptClass, *, cap: int = DEFAULT_SUBSET_ORACLE_CAP) -> int:

@@ -182,6 +182,15 @@ def test_verify_no_case(workdir, capsys):
     assert "verdict: EQUIVALENT" in out
 
 
+def test_verify_rejects_non_dominating_witness(workdir, capsys, monkeypatch):
+    # The re-check must survive `python -O`, so it cannot be an assert.
+    monkeypatch.setattr("teachdim.cli.has_dominating_set", lambda g, k: (True, (0,)))
+    code, out, err = run(capsys, "verify", "empty2.graph", "1")
+    assert code == 1
+    assert "non-dominating witness" in err
+    assert "EQUIVALENT" not in out
+
+
 def test_verify_k_above_n_exit_2(workdir, capsys):
     code, _, _ = run(capsys, "verify", "k3.graph", "9")
     assert code == 2

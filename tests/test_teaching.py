@@ -18,9 +18,11 @@ from teachdim import (
     rtd,
     rtd_decision,
     rtd_oracle_subsets,
+    serialize_plan,
     td_min,
     teaching_dim,
 )
+from teachdim.teaching import _lex_min_hitting_set
 from conftest import bf_min_ts, bf_rtd, make_class, random_class
 
 
@@ -48,6 +50,15 @@ def test_ts_singleton():
 
 def test_ts_all_zero_needs_whole_domain(point_functions):
     assert min_teaching_set(point_functions.concept("000"), point_functions).size == 3
+
+
+def test_ts_deep_all_zero_does_not_recurse():
+    # 1100 forced points: deeper than Python's default recursion limit.
+    width = 1100
+    rows = ["0" * width] + ["0" * i + "1" + "0" * (width - 1 - i) for i in range(width)]
+    klass = make_class(rows, labels=[f"c{i}" for i in range(width + 1)])
+    res = min_teaching_set(klass.concepts[0], klass)
+    assert (res.size, res.witness) == (width, tuple(range(width)))
 
 
 def test_ts_rejects_non_member(point_functions):
@@ -81,6 +92,37 @@ def test_ts_matches_bruteforce_with_lex_min_witness(seed):
     res = min_teaching_set(klass.concepts[ci], klass)
     assert res.size == size
     assert res.witness == witness  # itertools order == size-then-lex order
+
+
+def bf_lex_min_hitting_set(masks, width, budget):
+    """Size-then-lex sweep over all point sets of at most `budget` points."""
+    for size in range(budget + 1):
+        for points in itertools.combinations(range(width), size):
+            if all(any(m >> i & 1 for i in points) for m in masks):
+                return points
+    return None
+
+
+@st.composite
+def mask_families(draw):
+    """Up to 20 nonzero masks of width <= 10, with duplicates and supersets of earlier masks."""
+    width = draw(st.integers(1, 10))
+    masks = draw(st.lists(st.integers(1, 2**width - 1), max_size=10))
+    if masks:
+        for m in draw(st.lists(st.sampled_from(masks), max_size=10)):
+            masks.append(m | draw(st.integers(0, 2**width - 1)))
+    return width, masks
+
+
+@given(mask_families(), st.integers(0, 10))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_size_then_lex_bruteforce(family, budget):
+    width, masks = family
+    best = bf_lex_min_hitting_set(masks, width, width)
+    assert _lex_min_hitting_set(masks, len(best)) == best
+    if best:
+        assert _lex_min_hitting_set(masks, len(best) - 1) is None
+    assert _lex_min_hitting_set(masks, budget) == bf_lex_min_hitting_set(masks, width, budget)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -223,6 +265,25 @@ def test_rtd_matches_definition_bruteforce(seed):
     rng = random.Random(seed)
     klass = random_class(rng, max_concepts=6, max_points=5)
     assert rtd(klass).value == bf_rtd([c.values for c in klass.concepts])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rtd_is_least_k_the_decision_accepts(seed):
+    rng = random.Random(seed)
+    klass = random_class(rng, max_concepts=10, max_points=6)
+    least = next(k for k in itertools.count() if rtd_decision(klass, k)[0])
+    assert rtd(klass).value == least
+
+
+def test_rtd_plan_raises_k_only_when_a_round_strips_nothing():
+    # At k = 1 only 001 is teachable, so the pass strips it first and then
+    # raises k; the decision run at k = 2 strips 110 first instead.
+    klass = make_class(["110", "010", "011", "001", "111"])
+    res = rtd(klass)
+    assert res.value == 2
+    assert serialize_plan(res.plan) == "001 1\n110 0 2\n010 2\n011 0\n111\n"
+    assert serialize_plan(rtd_decision(klass, 2)[1]).startswith("110 0 2\n")
 
 
 @given(st.integers(0, 2**32 - 1))
