@@ -56,6 +56,8 @@ from .teaching import (
 
 VERIFY_MAX_VERTICES = 8
 VERIFY_MAX_K = 2
+# The timed sub-steps of `verify`, in the order they run.
+VERIFY_STEPS = ("build", "domset", "decision", "witness_plan", "extract", "observations")
 
 
 def _digest(path: str) -> str:
@@ -255,13 +257,27 @@ def _cmd_verify(args) -> int:
             f"verify is budgeted for N <= {VERIFY_MAX_VERTICES}, k <= {VERIFY_MAX_K}; "
             "pass --budget-override to force"
         )
-    t0 = time.perf_counter()
+    # Each step's time runs from the end of the step before it, so the steps
+    # add up to at most the whole; times are floored to whole microseconds.
+    steps_ns = dict.fromkeys(VERIFY_STEPS, 0)
+    clock = time.perf_counter_ns
+    t0 = last = clock()
+
+    def lap(step: str) -> None:
+        nonlocal last
+        now = clock()
+        steps_ns[step] = now - last
+        last = now
+
     out = domset_to_rtd(g, k)
+    lap("build")
     dom, witness = has_dominating_set(g, k)
     # Re-check the witness against the definition before trusting it.
     if dom and not all(any(dominates(g, v, u) for v in witness) for u in range(g.n)):
         raise InvariantError(f"dominating-set search returned a non-dominating witness {witness}")
+    lap("domset")
     decided, _ = rtd_decision(out.klass, k)
+    lap("decision")
     report = _base_report("verify", [args.graphfile])
     report |= {
         "k": k,
@@ -284,6 +300,7 @@ def _cmd_verify(args) -> int:
         human.append(f"witness plan: {len(wplan)} steps, width {width}, valid")
         if width > k:
             problems.append(f"witness plan width {width} exceeds k")
+        lap("witness_plan")
         first_pattern = out.concept_map[0][1].pattern
         ts = min_teaching_set(out.klass.concept(out.constraint_label(first_pattern)), out.klass)
         try:
@@ -296,7 +313,9 @@ def _cmd_verify(args) -> int:
             )
         except SoundnessViolationError as e:
             problems.append(f"soundness extraction failed: {e}")
+        lap("extract")
     obs = check_observations(out, max_sets=args.max_observation_sets)
+    lap("observations")
     report["observation_sets_checked"] = obs.sets_checked
     report["observations_exhaustive"] = obs.exhaustive
     human.append(
@@ -309,8 +328,12 @@ def _cmd_verify(args) -> int:
     if dom != decided:
         problems.append("dominating-set answer and RTD decision disagree")
     verdict = "EQUIVALENT" if not problems else "VIOLATION"
-    ms = (time.perf_counter() - t0) * 1000
-    report |= {"verdict": verdict, "problems": problems, "duration_ms": round(ms, 3)}
+    report |= {
+        "verdict": verdict,
+        "problems": problems,
+        "duration_ms": (clock() - t0) // 1000 / 1000,
+        "steps_ms": {step: ns // 1000 / 1000 for step, ns in steps_ns.items()},
+    }
     human.append(f"verdict: {verdict}")
     human += [f"  problem: {p}" for p in problems]
     _emit(report, args.json, human)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, InvariantError
 from .model import Concept, ConceptClass, is_teaching_set
 from .teaching import min_teaching_set
 
@@ -69,7 +69,8 @@ def build_gadget(k: int, *, cap: int = DEFAULT_K_CAP) -> Gadget:
         rows.append(tuple(1 if i in support else 0 for i in range(p)))
     klass = ConceptClass.from_rows(rows, point_labels=[f"z{i}" for i in range(p)])
     q = comb(p, k)
-    assert len(klass.concepts) == q
+    if len(klass.concepts) != q:
+        raise InvariantError(f"gadget has {len(klass.concepts)} members, expected C({p}, {k}) = {q}")
     return Gadget(k, p, q, klass)
 
 

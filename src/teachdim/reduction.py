@@ -26,11 +26,12 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import InvalidArgumentError, SoundnessViolationError
+from .errors import InvalidArgumentError, InvariantError, SoundnessViolationError
 from .gadget import DEFAULT_K_CAP, Gadget, build_gadget
 from .graph import Graph, dominates
 from .model import Concept, ConceptClass, DomainPoint, TeachingPlan, is_teaching_set
@@ -153,13 +154,15 @@ def shinohara_reduce(g: Graph) -> ShinoharaResult:
     for u in range(g.n):
         row = tuple(0 if dominates(g, v, u) else 1 for v in range(g.n))
         # u dominates itself, so no vertex row can be all-one.
-        assert row[u] == 0
+        if row[u] != 0:
+            raise InvariantError(f"vertex {g.vertex_label(u)} does not dominate itself")
         if row not in rows:
             rows[row] = []
             order.append(row)
         rows[row].append(u)
     star = (1,) * g.n
-    assert star not in rows
+    if star in rows:
+        raise InvariantError("a vertex row is all-one")
     domain = tuple(DomainPoint(i, g.vertex_label(i)) for i in range(g.n))
     concepts = []
     merges = []
@@ -228,8 +231,11 @@ def domset_to_rtd(g: Graph, k: int, *, gadget_cap: int = DEFAULT_K_CAP) -> Reduc
             concept_map.append((label, ConceptRef("vertex", u, pat)))
 
     klass = ConceptClass(tuple(points), tuple(concepts))
-    assert len(klass.concepts) == q * (n + 1)
-    assert klass.width == 2 * p * n
+    if len(klass.concepts) != q * (n + 1) or klass.width != 2 * p * n:
+        raise InvariantError(
+            f"reduced class is {len(klass.concepts)} x {klass.width}, "
+            f"expected {q * (n + 1)} x {2 * p * n}"
+        )
     return ReductionOutput(
         klass, g, k, p, q, tuple(point_map), tuple(concept_map)
     )
@@ -355,79 +361,108 @@ def check_observations(
       * S teaches a vertex concept (u, h) within u's family iff the
         z-projection of S's ZV part in column u teaches h within the gadget.
 
-    The first mismatch, scanned concept-by-concept in class order, is
-    reported as a counterexample.
+    Every (concept, set) pair gets its verdict, and the first mismatch,
+    scanned concept-by-concept in class order and set by set within a
+    concept, is reported as a counterexample; `sets_checked` counts the pairs
+    up to and including it.
+
+    The work is shared without skipping a pair.  Each set becomes one point
+    mask s.  A family's `support` is the OR of the XORs of its actual class
+    rows, so every difference mask d of the family lies inside it and
+    d & s == d & (s & support): the left side depends on s & support only.
+    The z-projection reads only the concept's block `sel` (VZ, or the ZV
+    column u), so the right side depends on s & sel only.  Sets with equal
+    key s & (support | sel) thus get equal verdicts, and each distinct key
+    is decided once for every concept of the family.  A concept's first
+    failing set is the first set whose key fails.  Because `support` comes
+    from the rows, not from the intended layout, a tampered bit anywhere in
+    a family's rows enters its key and is still caught.
     """
+    if max_sets < 0:
+        raise InvalidArgumentError(f"max_sets must be >= 0, got {max_sets}")
+    if max_size is not None and max_size < 0:
+        raise InvalidArgumentError(f"max_size must be >= 0, got {max_size}")
     limit = out.k + 1 if max_size is None else max_size
     width = out.klass.width
     total = sum(comb(width, s) for s in range(limit + 1))
     exhaustive = total <= max_sets
+    bits = [1 << i for i in range(width)]
+    # Candidate sets as point masks: by size, then lexicographically, or the
+    # empty set followed by the sample.  Sets are sorted and duplicate-free,
+    # so a mask gives its tuple back.
+    set_masks: list[int] = []
     if exhaustive:
-        candidate_sets = [
-            combo
-            for s in range(limit + 1)
-            for combo in itertools.combinations(range(width), s)
-        ]
+        for s in range(limit + 1):
+            set_masks.extend(map(sum, itertools.combinations(bits, s)))
     else:
         rng = random.Random(seed)
-        candidate_sets = [()]
+        set_masks.append(0)
         for _ in range(max_sets):
             s = rng.randint(1, limit)
-            candidate_sets.append(tuple(sorted(rng.sample(range(width), s))))
+            set_masks.append(sum(bits[i] for i in rng.sample(range(width), s)))
+    n_sets = len(set_masks)
 
     gadget = _gadget_of(out)
     gmasks = [c.mask() for c in gadget.klass.concepts]
     pattern_index = {c.bitstring(): i for i, c in enumerate(gadget.klass.concepts)}
-    n = out.n_vertices
-    # Per-point projections: z-coordinate bit for VZ points, (column, z bit) for ZV.
-    vz_zbit = [
-        1 << out.point_map[i].zpoint if out.point_map[i].block == "VZ" else 0
-        for i in range(width)
-    ]
-    zv_col = [
-        out.point_map[i].vertex if out.point_map[i].block == "ZV" else -1
-        for i in range(width)
-    ]
-    zv_zbit = [
-        1 << out.point_map[i].zpoint if out.point_map[i].block == "ZV" else 0
-        for i in range(width)
-    ]
-
-    def teaches_in_gadget(gi: int, zmask: int) -> bool:
-        return all(
-            (gmasks[gj] ^ gmasks[gi]) & zmask for gj in range(len(gmasks)) if gj != gi
-        )
-
+    zbit = [1 << ref.zpoint for ref in out.point_map]
     masks = [out.klass.row_mask(i) for i in range(len(out.klass.concepts))]
-    groups: dict[int | None, list[int]] = {}
-    for i, (label, ref) in enumerate(out.concept_map):
-        groups.setdefault(ref.vertex, []).append(i)
+    families: dict[int | None, list[int]] = {}
+    # Concepts of one family and one kind share `support` and `sel`.
+    units: dict[tuple[int | None, str], list[int]] = {}
+    for ci, (_, ref) in enumerate(out.concept_map):
+        families.setdefault(ref.vertex, []).append(ci)
+        units.setdefault((ref.vertex, ref.kind), []).append(ci)
 
-    checked = 0
-    for ci, (label, ref) in enumerate(out.concept_map):
-        family = groups[ref.vertex]
-        gi = pattern_index[ref.pattern]
-        for combo in candidate_sets:
-            smask = 0
-            for i in combo:
-                smask |= 1 << i
-            lhs = all(
-                (masks[cj] ^ masks[ci]) & smask for cj in family if cj != ci
+    first_fail: dict[int, int] = {}
+    for (vertex, kind), unit in units.items():
+        family = families[vertex]
+        rows = [masks[cj] for cj in family]
+        support = 0
+        for row in rows:
+            support |= row ^ rows[0]
+        if kind == "constraint":
+            sel = sum(bits[i] for i, ref in enumerate(out.point_map) if ref.block == "VZ")
+        else:
+            sel = sum(
+                bits[i]
+                for i, ref in enumerate(out.point_map)
+                if ref.block == "ZV" and ref.vertex == vertex
             )
-            if ref.kind == "constraint":
-                zmask = 0
-                for i in combo:
-                    zmask |= vz_zbit[i]
-            else:
-                zmask = 0
-                for i in combo:
-                    if zv_col[i] == ref.vertex:
-                        zmask |= zv_zbit[i]
-            rhs = teaches_in_gadget(gi, zmask)
-            checked += 1
+        keymask = support | sel
+        # Built from the last set to the first, so each key keeps its first index.
+        first = dict(zip(map(keymask.__and__, reversed(set_masks)), range(n_sets - 1, -1, -1)))
+        at = [family.index(ci) for ci in unit]
+        gis = [pattern_index[out.concept_map[ci][1].pattern] for ci in unit]
+        rhs_of: dict[int, list[bool]] = {}
+        for key, idx in first.items():
+            # S teaches a member iff no other member agrees with it on S.
+            projs = [row & key for row in rows]
+            seen = Counter(projs)
+            lhs = [seen[projs[j]] == 1 for j in at]
+            zmask = 0
+            rest = key & sel
+            while rest:
+                low = rest & -rest
+                zmask |= zbit[low.bit_length() - 1]
+                rest ^= low
+            rhs = rhs_of.get(zmask)
+            if rhs is None:
+                gprojs = [gm & zmask for gm in gmasks]
+                gseen = Counter(gprojs)
+                rhs = rhs_of[zmask] = [gseen[gprojs[gi]] == 1 for gi in gis]
             if lhs != rhs:
-                return ObservationReport(checked, exhaustive, (label, combo))
-    return ObservationReport(checked, exhaustive, None)
+                for ci, left, right in zip(unit, lhs, rhs):
+                    if left != right and idx < first_fail.get(ci, n_sets):
+                        first_fail[ci] = idx
+    if first_fail:
+        ci = min(first_fail)
+        idx = first_fail[ci]
+        combo = tuple(i for i in range(width) if set_masks[idx] >> i & 1)
+        return ObservationReport(
+            ci * n_sets + idx + 1, exhaustive, (out.concept_map[ci][0], combo)
+        )
+    return ObservationReport(len(out.concept_map) * n_sets, exhaustive, None)
 
 
 # -- sidecar metadata --------------------------------------------------------

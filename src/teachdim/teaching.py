@@ -253,7 +253,8 @@ def _oracle_with_tables(klass: ConceptClass) -> int:
                     break
             if sub_min == 0:
                 break
-        assert sub_min is not None  # S = X always works within distinct rows
+        if sub_min is None:  # S = X always works within distinct rows
+            raise InvariantError("no teaching set within the whole domain")
         best = max(best, sub_min)
     return best
 
@@ -274,7 +275,7 @@ def _oracle_plain(klass: ConceptClass) -> int:
                         if o != c
                     ):
                         return size
-        raise AssertionError("distinct rows are separable by the full domain")
+        raise InvariantError("no teaching set within the whole domain")
 
     best = 0
     for r in range(1, m + 1):

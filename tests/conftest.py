@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
+from math import comb
 
 import pytest
 
-from teachdim import ConceptClass, Graph
+from teachdim import ConceptClass, Graph, ObservationReport, build_gadget
 
 
 def make_class(rows, labels=None, point_labels=None) -> ConceptClass:
@@ -88,3 +89,81 @@ def bf_min_domset(g: Graph) -> tuple[int, tuple[int, ...]]:
             if all(dominated(u, T) for u in range(g.n)):
                 return size, T
     raise AssertionError("V always dominates")
+
+
+def ref_check_observations(out, *, max_size=None, max_sets=250_000, seed=0):
+    """The observation replay pair by pair, straight from its statement.
+
+    For every concept in class order and every candidate set in order, it
+    rebuilds the set's mask and z-projection and compares the two teaching
+    tests; `check_observations` must return an equal report on every input.
+    """
+    limit = out.k + 1 if max_size is None else max_size
+    width = out.klass.width
+    total = sum(comb(width, s) for s in range(limit + 1))
+    exhaustive = total <= max_sets
+    if exhaustive:
+        candidate_sets = [
+            combo
+            for s in range(limit + 1)
+            for combo in itertools.combinations(range(width), s)
+        ]
+    else:
+        rng = random.Random(seed)
+        candidate_sets = [()]
+        for _ in range(max_sets):
+            s = rng.randint(1, limit)
+            candidate_sets.append(tuple(sorted(rng.sample(range(width), s))))
+
+    gadget = build_gadget(out.k)
+    gmasks = [c.mask() for c in gadget.klass.concepts]
+    pattern_index = {c.bitstring(): i for i, c in enumerate(gadget.klass.concepts)}
+    # Per-point projections: z-coordinate bit for VZ points, (column, z bit) for ZV.
+    vz_zbit = [
+        1 << out.point_map[i].zpoint if out.point_map[i].block == "VZ" else 0
+        for i in range(width)
+    ]
+    zv_col = [
+        out.point_map[i].vertex if out.point_map[i].block == "ZV" else -1
+        for i in range(width)
+    ]
+    zv_zbit = [
+        1 << out.point_map[i].zpoint if out.point_map[i].block == "ZV" else 0
+        for i in range(width)
+    ]
+
+    def teaches_in_gadget(gi: int, zmask: int) -> bool:
+        return all(
+            (gmasks[gj] ^ gmasks[gi]) & zmask for gj in range(len(gmasks)) if gj != gi
+        )
+
+    masks = [out.klass.row_mask(i) for i in range(len(out.klass.concepts))]
+    groups: dict[int | None, list[int]] = {}
+    for i, (label, ref) in enumerate(out.concept_map):
+        groups.setdefault(ref.vertex, []).append(i)
+
+    checked = 0
+    for ci, (label, ref) in enumerate(out.concept_map):
+        family = groups[ref.vertex]
+        gi = pattern_index[ref.pattern]
+        for combo in candidate_sets:
+            smask = 0
+            for i in combo:
+                smask |= 1 << i
+            lhs = all(
+                (masks[cj] ^ masks[ci]) & smask for cj in family if cj != ci
+            )
+            if ref.kind == "constraint":
+                zmask = 0
+                for i in combo:
+                    zmask |= vz_zbit[i]
+            else:
+                zmask = 0
+                for i in combo:
+                    if zv_col[i] == ref.vertex:
+                        zmask |= zv_zbit[i]
+            rhs = teaches_in_gadget(gi, zmask)
+            checked += 1
+            if lhs != rhs:
+                return ObservationReport(checked, exhaustive, (label, combo))
+    return ObservationReport(checked, exhaustive, None)

@@ -191,6 +191,28 @@ def test_verify_rejects_non_dominating_witness(workdir, capsys, monkeypatch):
     assert "EQUIVALENT" not in out
 
 
+def test_verify_negative_observation_cap_exit_2(workdir, capsys):
+    code, out, err = run(capsys, "verify", "k3.graph", "1", "--max-observation-sets", "-5")
+    assert code == 2
+    assert "max_sets must be >= 0" in err
+    assert "EQUIVALENT" not in out
+
+
+@pytest.mark.parametrize("graph", ["k3.graph", "empty2.graph"])
+def test_verify_json_step_times(workdir, capsys, graph):
+    code, out, _ = run(capsys, "verify", graph, "1", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    steps = rep["steps_ms"]
+    assert list(steps) == ["build", "domset", "decision", "witness_plan", "extract", "observations"]
+    assert all(v >= 0 for v in steps.values())
+    # Step times are whole microseconds, so their exact sum has three decimals.
+    assert round(sum(steps.values()), 3) <= rep["duration_ms"]
+    assert steps["observations"] > 0
+    if not rep["domset"]:
+        assert steps["witness_plan"] == steps["extract"] == 0
+
+
 def test_verify_k_above_n_exit_2(workdir, capsys):
     code, _, _ = run(capsys, "verify", "k3.graph", "9")
     assert code == 2

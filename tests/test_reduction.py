@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
 from teachdim import (
+    Concept,
+    ConceptClass,
     Graph,
     InvalidArgumentError,
     SoundnessViolationError,
@@ -23,7 +27,7 @@ from teachdim import (
     shinohara_reduce,
     witness_plan,
 )
-from conftest import all_labeled_graphs, bf_min_domset
+from conftest import all_labeled_graphs, bf_min_domset, ref_check_observations
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 EMPTY2 = Graph.from_edges(2, [])
@@ -293,6 +297,70 @@ def test_observation_singleton_case():
         lhs = is_teaching_set(out.klass.concept("h100"), sub, (point,))
         rhs = is_teaching_set(h, gadget.klass, (z,))
         assert lhs == rhs
+
+
+def test_observations_reject_negative_caps():
+    out = domset_to_rtd(K3, 1)
+    with pytest.raises(InvalidArgumentError, match="max_sets"):
+        check_observations(out, max_sets=-5)
+    with pytest.raises(InvalidArgumentError, match="max_size"):
+        check_observations(out, max_size=-1)
+
+
+def _flip(out, label, index):
+    """The reduction with one bit of one concept row flipped."""
+    concepts = tuple(
+        Concept(c.label, tuple(v ^ (i == index and c.label == label) for i, v in enumerate(c.values)))
+        for c in out.klass.concepts
+    )
+    return dataclasses.replace(out, klass=ConceptClass(out.klass.domain, concepts))
+
+
+def test_observations_equal_the_pairwise_replay():
+    # Clean and tampered reductions, k <= 2 and N <= 5, exhaustive and sampled:
+    # every report must equal the pair-by-pair reference.  Exhaustive runs at
+    # k = 2 stay at N <= 3, where the reference replays at most 0.2 M pairs.
+    rng = random.Random(20231)
+    found = 0
+    for case in range(60):
+        n = rng.randint(2, 5)
+        k = rng.randint(1, min(2, n))
+        pairs = itertools.combinations(range(n), 2)
+        out = domset_to_rtd(Graph.from_edges(n, [e for e in pairs if rng.random() < 0.5]), k)
+        if case % 2:
+            rows = {c.values for c in out.klass.concepts}
+            while True:
+                label = rng.choice(out.klass.concepts).label
+                index = rng.randrange(out.klass.width)
+                flipped = _flip(out, label, index)
+                if len({c.values for c in flipped.klass.concepts}) == len(rows):
+                    out = flipped
+                    break
+        caps = [50, 300, 2000] + ([None] if k == 1 or n <= 3 else [])
+        cap = caps[case // 2 % len(caps)]
+        kwargs = {"seed": case} if cap is None else {"seed": case, "max_sets": cap}
+        report = check_observations(out, **kwargs)
+        assert report == ref_check_observations(out, **kwargs), (case, n, k, cap)
+        found += not report.ok
+    assert found >= 15  # the tampered half mostly yields counterexamples
+
+
+@pytest.mark.parametrize(
+    "label, zv, kwargs, expected",
+    [
+        # A zero in a constraint row's ZV block, outside the intended layout.
+        ("h010", True, {}, (64, True, ("h100", (2, 14)))),
+        ("h010", True, {"max_sets": 50}, (26, False, ("h100", (2, 14)))),
+        # A one in a vertex row's VZ block, shared by the rest of its family.
+        ("v2.h001", False, {}, (1080, True, ("v2.h100", (1, 13)))),
+        ("v2.h001", False, {"max_sets": 50}, (308, False, ("v2.h100", (1, 13)))),
+    ],
+)
+def test_observations_pinned_counterexample(label, zv, kwargs, expected):
+    out = domset_to_rtd(K3, 1)
+    index = out.zv_index(1, 2) if zv else out.vz_index(0, 1)
+    report = check_observations(_flip(out, label, index), **kwargs)
+    assert (report.sets_checked, report.exhaustive, report.counterexample) == expected
 
 
 # -- the theorem, desk scale -----------------------------------------------------------
