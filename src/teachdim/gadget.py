@@ -10,11 +10,12 @@ teaching-set size past k.  `verify_gadget` checks all three exhaustively.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
 from .errors import InvalidArgumentError, InvariantError
-from .model import Concept, ConceptClass, is_teaching_set
+from .model import Concept, ConceptClass
 from .teaching import min_teaching_set
 
 DEFAULT_K_CAP = 6  # C(13, 6) = 1716 concepts at the cap
@@ -98,17 +99,22 @@ def verify_gadget(g: Gadget) -> GadgetReport:
             if counter is None:
                 counter = (1, c.label, ts.witness)
             break
-    for c in klass.concepts:
-        stop = False
-        for points in itertools.combinations(range(klass.width), k):
-            if is_teaching_set(c, klass, points) and any(c.values[i] == 0 for i in points):
-                p2 = False
-                if counter is None:
-                    counter = (2, c.label, points)
-                stop = True
-                break
-        if stop:
-            break
+    # S teaches c iff no other row shares c's projection row & S, so count
+    # each projection once per set; c has a zero on S iff c & S != S.
+    rows = list(map(klass.row_mask, range(len(klass.concepts))))
+    first: dict[int, tuple[int, ...]] = {}  # concept index -> its first failing set
+    for points in itertools.combinations(range(klass.width), k):
+        s = sum(1 << i for i in points)
+        lone = {v for v, n in Counter(r & s for r in rows).items() if n == 1 and v != s}
+        if lone:
+            for ci, r in enumerate(rows):
+                if r & s in lone:
+                    first.setdefault(ci, points)
+    if first:
+        p2 = False
+        ci = min(first)
+        if counter is None:
+            counter = (2, klass.concepts[ci].label, first[ci])
     extended = ones_extension(klass)
     for c in klass.concepts:
         ts = min_teaching_set(c, extended)

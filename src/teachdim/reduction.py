@@ -382,8 +382,9 @@ def check_observations(
         raise InvalidArgumentError(f"max_sets must be >= 0, got {max_sets}")
     if max_size is not None and max_size < 0:
         raise InvalidArgumentError(f"max_size must be >= 0, got {max_size}")
-    limit = out.k + 1 if max_size is None else max_size
     width = out.klass.width
+    # No set is larger than the domain, so a larger cap means the width.
+    limit = min(out.k + 1 if max_size is None else max_size, width)
     total = sum(comb(width, s) for s in range(limit + 1))
     exhaustive = total <= max_sets
     bits = [1 << i for i in range(width)]

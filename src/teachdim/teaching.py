@@ -6,12 +6,12 @@ c' differ.  All searches therefore precompute per-pair difference masks
 (ints, bit i = point i) and find small hitting sets with one kernel.  Every
 witness is the lexicographically smallest of the minimum-size teaching sets,
 and RTD is one stripping pass in class order that raises k only when a round
-strips nothing, so every result is reproducible.
+strips nothing, so every result is reproducible.  The subset oracle at the
+end shares none of this, so it can check RTD independently.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import reduce
@@ -20,10 +20,6 @@ from .errors import CapacityError, InvalidArgumentError, InvariantError
 from .model import Concept, ConceptClass, TeachingPlan
 
 DEFAULT_SUBSET_ORACLE_CAP = 15
-
-# Width limit for the subset oracle's precomputed agreement tables; wider
-# domains fall back to plain per-subset enumeration.
-_ORACLE_TABLE_MAX_WIDTH = 12
 
 
 @dataclass(frozen=True)
@@ -75,17 +71,27 @@ def _small_hitting_set(masks: list[int], r: int) -> int | None:
     return None
 
 
-def _lex_min_hitting_set(diffs: list[int], budget: int) -> tuple[int, ...] | None:
-    """Smallest, then lexicographically least, set of bit positions hitting every mask.
+def _min_hitting_set(diffs: list[int], budget: int) -> tuple[list[int], int, int] | None:
+    """Deepen from the packing bound to the least size of a set hitting every mask.
 
-    Returns None above `budget`.  Masks must be nonzero: equal rows never get here.
+    Returns the distinct masks sorted by size, that size and one such set as a
+    bitmask, or None above `budget`.
     """
     masks = sorted(set(diffs), key=int.bit_count)
     size = _packing(masks)[0]
     while size <= budget and (found := _small_hitting_set(masks, size)) is None:
         size += 1
-    if size > budget:
+    return None if size > budget else (masks, size, found)
+
+
+def _lex_min_hitting_set(diffs: list[int], budget: int) -> tuple[int, ...] | None:
+    """Smallest, then lexicographically least, set of bit positions hitting every mask.
+
+    Returns None above `budget`.  Masks must be nonzero: equal rows never get here.
+    """
+    if (hit := _min_hitting_set(diffs, budget)) is None:
         return None
+    masks, size, found = hit
     # Fix the least set point by point: the lowest q below found's lowest point
     # after which size - 1 points above q still hit the masks q misses, else
     # found's lowest point.  Only packed points fit if they need all `size`.
@@ -114,19 +120,24 @@ def min_teaching_set(c: Concept, klass: ConceptClass) -> TsResult:
 
     The witness is the lexicographically least of the minimum-size ones.
     """
-    ci = klass.member_index(c)
+    witness = _teaching_search(klass, klass.member_index(c), _lex_min_hitting_set)
+    return TsResult(len(witness), witness)
+
+
+def _teaching_search(klass: ConceptClass, ci: int, search):
+    """`search` over the difference masks of concept ci, with the whole domain as budget."""
     own = klass.row_mask(ci)
     diffs = [klass.row_mask(j) ^ own for j in range(len(klass.concepts)) if j != ci]
-    witness = _lex_min_hitting_set(diffs, klass.width)
-    if witness is None:  # the whole domain separates distinct rows
-        raise InvariantError(f"no teaching set found for {c.label!r}")
-    return TsResult(len(witness), witness)
+    if (found := search(diffs, klass.width)) is None:  # the whole domain separates distinct rows
+        raise InvariantError(f"no teaching set found for {klass.concepts[ci].label!r}")
+    return found
 
 
 def _first_extreme(klass: ConceptClass, pick, what: str) -> tuple[int, str]:
     if not klass.concepts:
         raise InvalidArgumentError(f"{what} of an empty class is undefined")
-    sizes = [min_teaching_set(c, klass).size for c in klass.concepts]
+    # Sizes only: the lex-min witness search is skipped.
+    sizes = [_teaching_search(klass, ci, _min_hitting_set)[1] for ci in range(len(klass.concepts))]
     return pick(sizes), klass.concepts[sizes.index(pick(sizes))].label
 
 
@@ -190,9 +201,15 @@ def rtd(klass: ConceptClass) -> RtdResult:
 def rtd_oracle_subsets(klass: ConceptClass, *, cap: int = DEFAULT_SUBSET_ORACLE_CAP) -> int:
     """RTD via full subset enumeration: max over subclasses of their TD_min.
 
-    Deliberately independent of the stripping procedure so the two can be
-    checked against each other.  The 2^|C| enumeration is refused above
-    `cap` concepts.
+    Deliberately independent of the stripping procedure and the hitting-set
+    kernel so the two can be checked against each other.  Every subclass is
+    decided at once, level by level: at level t a subclass is easy when some
+    member c has a point set T of size <= t whose agreement mask agree(c, T),
+    the concepts equal to c on T, meets the subclass in c alone.  The answer
+    is the first t at which every nonempty subclass is easy.  The 2^|C|
+    subclasses are the bits of one int, so each level costs about
+    |C| * 2^|C| bit operations, plus one step per pair of an agreement mask
+    and a distinct column.  The enumeration is refused above `cap` concepts.
     """
     m = len(klass.concepts)
     if m > cap:
@@ -202,83 +219,42 @@ def rtd_oracle_subsets(klass: ConceptClass, *, cap: int = DEFAULT_SUBSET_ORACLE_
         )
     if m == 0:
         return 0
-    if klass.width <= _ORACLE_TABLE_MAX_WIDTH:
-        return _oracle_with_tables(klass)
-    return _oracle_plain(klass)
-
-
-def _oracle_with_tables(klass: ConceptClass) -> int:
-    """Subset oracle backed by per-concept agreement tables.
-
-    agree[c][S] holds the bitmask of concepts whose rows coincide with
-    concept c on the point set S; S teaches c within subclass M exactly when
-    agree[c][S] & M keeps only c itself.
-    """
-    m = len(klass.concepts)
-    width = klass.width
-    full = (1 << m) - 1
+    # Bit M of an int over 2^m bits stands for subclass M; lacks[i] marks every
+    # M without concept i, and shifting by 2^i moves M to M minus concept i.
+    n_sub = 1 << m
+    lacks = []
+    for i in range(m):
+        bits, span = (1 << (1 << i)) - 1, 2 << i
+        while span < n_sub:
+            bits |= bits << span
+            span <<= 1
+        lacks.append(bits)
+    full = n_sub - 1
+    goal = (1 << n_sub) - 2  # every nonempty subclass
+    # One-point agreement masks per concept; constant and repeated columns drop out.
     rows = [c.values for c in klass.concepts]
-    n_sets = 1 << width
-    by_size = sorted(range(n_sets), key=int.bit_count)
-    sizes = [s.bit_count() for s in by_size]
-    agree: list[list[int]] = []
-    for c in range(m):
-        single = []
-        for x in range(width):
-            mask = 0
-            for o in range(m):
-                if rows[o][x] == rows[c][x]:
-                    mask |= 1 << o
-            single.append(mask)
-        table = [0] * n_sets
-        table[0] = full
-        for s in range(1, n_sets):
-            low = s & -s
-            table[s] = table[s ^ low] & single[low.bit_length() - 1]
-        agree.append(table)
-    best = 0
-    for sub in range(1, 1 << m):
-        sub_min = None
-        c_bits = sub
-        while c_bits:
-            c = (c_bits & -c_bits).bit_length() - 1
-            c_bits &= c_bits - 1
-            own = 1 << c
-            tab = agree[c]
-            for pos, s in enumerate(by_size):
-                if sub_min is not None and sizes[pos] >= sub_min:
-                    break
-                if tab[s] & sub == own:
-                    sub_min = sizes[pos]
-                    break
-            if sub_min == 0:
-                break
-        if sub_min is None:  # S = X always works within distinct rows
+    columns = {sum(v << o for o, v in enumerate(col)) for col in zip(*rows)}
+    singles = [{col if col >> c & 1 else full ^ col for col in columns} - {full} for c in range(m)]
+    # level[c]: the values agree(c, T) first reached at |T| = t; seen[c]: all so far.
+    level = [{full} for _ in range(m)]
+    seen = [{full} for _ in range(m)]
+    easy = 0  # subclasses whose TD_min is at most t
+    t = 0
+    while True:
+        for c in range(m):
+            # S teaches c within M iff agree(c, S) & M == 1 << c: M lies below
+            # (full ^ A) | 1 << c and contains c.
+            down = 0
+            for a in level[c]:
+                down |= 1 << (full ^ a | 1 << c)
+            for i, lack in enumerate(lacks):
+                down |= down >> (1 << i) & lack
+            easy |= down & ~lacks[c]
+        if easy == goal:
+            return t
+        t += 1
+        for c in range(m):
+            level[c] = {a & s for a in level[c] for s in singles[c]} - seen[c]
+            seen[c] |= level[c]
+        if not any(level):  # S = X always works within distinct rows
             raise InvariantError("no teaching set within the whole domain")
-        best = max(best, sub_min)
-    return best
-
-
-def _oracle_plain(klass: ConceptClass) -> int:
-    """Fallback subset oracle: literal definition, no precomputed tables."""
-    rows = [c.values for c in klass.concepts]
-    m = len(rows)
-    width = klass.width
-
-    def td_min_of(members: tuple[int, ...]) -> int:
-        for size in range(width + 1):
-            for c in members:
-                for S in itertools.combinations(range(width), size):
-                    if all(
-                        any(rows[o][x] != rows[c][x] for x in S)
-                        for o in members
-                        if o != c
-                    ):
-                        return size
-        raise InvariantError("no teaching set within the whole domain")
-
-    best = 0
-    for r in range(1, m + 1):
-        for members in itertools.combinations(range(m), r):
-            best = max(best, td_min_of(members))
-    return best

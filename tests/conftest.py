@@ -2,7 +2,8 @@
 
 The oracles here work on raw row tuples and never touch the package's
 search machinery, so they can arbitrate when implementation and spec-level
-expectations disagree.
+expectations disagree.  The `ref_*` functions at the end are literal,
+unoptimised versions of rewritten package functions, kept as test references.
 """
 
 from __future__ import annotations
@@ -14,7 +15,16 @@ from math import comb
 
 import pytest
 
-from teachdim import ConceptClass, Graph, ObservationReport, build_gadget
+from teachdim import (
+    ConceptClass,
+    GadgetReport,
+    Graph,
+    ObservationReport,
+    build_gadget,
+    is_teaching_set,
+    min_teaching_set,
+    ones_extension,
+)
 
 
 def make_class(rows, labels=None, point_labels=None) -> ConceptClass:
@@ -167,3 +177,42 @@ def ref_check_observations(out, *, max_size=None, max_sets=250_000, seed=0):
             if lhs != rhs:
                 return ObservationReport(checked, exhaustive, (label, combo))
     return ObservationReport(checked, exhaustive, None)
+
+
+def ref_verify_gadget(g):
+    """The three gadget properties by the literal triple loop.
+
+    Property 2 calls `is_teaching_set` for every concept and every k-point
+    set; `verify_gadget` must return an equal report on every gadget.
+    """
+    k = g.k
+    klass = g.klass
+    p1 = p2 = p3 = True
+    counter = None
+    for c in klass.concepts:
+        ts = min_teaching_set(c, klass)
+        if ts.size != k:
+            p1 = False
+            if counter is None:
+                counter = (1, c.label, ts.witness)
+            break
+    for c in klass.concepts:
+        stop = False
+        for points in itertools.combinations(range(klass.width), k):
+            if is_teaching_set(c, klass, points) and any(c.values[i] == 0 for i in points):
+                p2 = False
+                if counter is None:
+                    counter = (2, c.label, points)
+                stop = True
+                break
+        if stop:
+            break
+    extended = ones_extension(klass)
+    for c in klass.concepts:
+        ts = min_teaching_set(c, extended)
+        if ts.size < k + 1:
+            p3 = False
+            if counter is None:
+                counter = (3, c.label, ts.witness)
+            break
+    return GadgetReport(p1, p2, p3, counter)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -18,7 +19,7 @@ from teachdim import (
     td_min,
     verify_gadget,
 )
-from conftest import bf_min_ts
+from conftest import bf_min_ts, ref_verify_gadget
 
 
 def drop_concepts(g: Gadget, *labels: str) -> Gadget:
@@ -128,3 +129,26 @@ def test_gadget_rtd_at_most_k(k):
     assert rtd(klass).value <= k
     if len(klass.concepts) <= 15:
         assert rtd_oracle_subsets(klass) <= k
+
+
+def test_verify_matches_the_triple_loop_on_flipped_bits():
+    # Gadgets 2 and 3 with up to two bits flipped and up to three members
+    # dropped (rows kept distinct): the report, first counterexample included,
+    # equals the literal triple loop's.  Flips alone nearly always break
+    # property 1 first; drops keep it and break property 2.
+    rng = random.Random(4099)
+    first = set()
+    for case in range(40):
+        g = build_gadget(2 + case % 2)
+        rows = [list(c.values) for c in g.klass.concepts]
+        for _ in range(rng.randint(0, 2)):
+            rows[rng.randrange(g.q)][rng.randrange(g.p)] ^= 1
+        for _ in range(rng.randint(0, 3)):
+            rows.pop(rng.randrange(len(rows)))
+        if len(set(map(tuple, rows))) < len(rows):
+            continue
+        damaged = Gadget(g.k, g.p, len(rows), ConceptClass.from_rows(rows))
+        report = verify_gadget(damaged)
+        assert report == ref_verify_gadget(damaged)
+        first.add(report.counterexample and report.counterexample[0])
+    assert first == {None, 1, 2}

@@ -307,6 +307,16 @@ def test_observations_reject_negative_caps():
         check_observations(out, max_size=-1)
 
 
+def test_observations_cap_above_width_means_width():
+    out = domset_to_rtd(K3, 1)
+    width = out.klass.width
+    # Sampled (the draws stay within the domain) and exhaustive (every set).
+    for max_sets, exhaustive in ((10, False), (2**width, True)):
+        report = check_observations(out, max_size=40, max_sets=max_sets)
+        assert report == check_observations(out, max_size=width, max_sets=max_sets)
+        assert report.ok and report.exhaustive == exhaustive
+
+
 def _flip(out, label, index):
     """The reduction with one bit of one concept row flipped."""
     concepts = tuple(

@@ -327,6 +327,25 @@ def test_oracle_wide_domain_fallback():
     assert rtd_oracle_subsets(klass) == rtd(klass).value == 1
 
 
+@st.composite
+def repeated_column_classes(draw):
+    """Up to 7 distinct rows over 1-16 points, many of them repeated or constant columns."""
+    m = draw(st.integers(1, 7))
+    base = draw(st.integers(max(1, (m - 1).bit_length()), 5))
+    rows = draw(st.lists(st.integers(0, 2**base - 1), min_size=m, max_size=m, unique=True))
+    extra = draw(st.lists(st.sampled_from([*range(base), "0", "1"]), max_size=16 - base))
+    columns = draw(st.permutations([*range(base), *extra]))
+    return make_class(
+        [[r >> col & 1 if isinstance(col, int) else int(col) for col in columns] for r in rows]
+    )
+
+
+@given(repeated_column_classes())
+@settings(max_examples=100, deadline=None)
+def test_oracle_matches_bruteforce_rtd(klass):
+    assert rtd_oracle_subsets(klass) == bf_rtd([c.values for c in klass.concepts])
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_oracle_agrees_with_rtd(seed):
