@@ -2,16 +2,18 @@
 
 Exit codes: 0 success, 1 negative verdict (invalid plan, equivalence
 violation, failed gadget verification, a result failing its re-check), 2
-usage or parse errors, 3 capacity or budget errors.  All commands are
-deterministic given identical inputs and flags; randomness only enters
-through explicit seed arguments.
+usage or parse errors and files that cannot be read, decoded or written, 3
+capacity or budget errors.  All commands are deterministic given identical
+inputs and flags; randomness only enters through explicit seed arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -60,15 +62,41 @@ VERIFY_MAX_K = 2
 VERIFY_STEPS = ("build", "domset", "decision", "witness_plan", "extract", "observations")
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _read(path: str) -> str:
+def _read(path: str, report: dict) -> str:
+    """An input's text, decoded as `Path.read_text` does; report["inputs"] gets its SHA-256."""
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None
+    reader = io.TextIOWrapper(io.BytesIO(data))  # the locale's encoding, universal newlines
+    try:
+        text = reader.read()
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not {reader.encoding} text") from None
+    report["inputs"].append({"path": path, "sha256": hashlib.sha256(data).hexdigest()})
+    return text
+
+
+def _write(*files: tuple[str | Path, str]) -> None:
+    """Replace each (path, text) by renaming a temporary file beside the target onto it.
+
+    The target is the file a symlink names, as for a plain write.  Every temporary
+    file is written before the first rename; an OSError removes them and exits 2.
+    """
+    suffix = f".{os.getpid()}.tmp"
+    temps: list[str] = []
+    try:
+        for path, text in files:
+            with open(os.path.realpath(path) + suffix, "x") as f:
+                temps.append(f.name)
+                f.write(text)
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, tmp.removesuffix(suffix))
+    except OSError as e:
+        for tmp in temps:
+            if os.path.lexists(tmp):
+                os.remove(tmp)
+        raise TeachdimError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _emit(report: dict, as_json: bool, human: list[str]) -> None:
@@ -79,22 +107,15 @@ def _emit(report: dict, as_json: bool, human: list[str]) -> None:
             print(line)
 
 
-def _base_report(command: str, inputs: list[str]) -> dict:
-    return {
-        "command": command,
-        "inputs": [{"path": p, "sha256": _digest(p)} for p in inputs],
-    }
-
-
 # -- compute family ----------------------------------------------------------
 
 
 def _cmd_ts(args) -> int:
-    klass = parse_class(_read(args.classfile))
+    report = {"command": "ts", "inputs": []}
+    klass = parse_class(_read(args.classfile, report))
     t0 = time.perf_counter()
     res = min_teaching_set(klass.concept(args.concept), klass)
     ms = (time.perf_counter() - t0) * 1000
-    report = _base_report("ts", [args.classfile])
     report |= {
         "concept": args.concept,
         "ts": res.size,
@@ -110,36 +131,36 @@ def _cmd_ts(args) -> int:
 
 
 def _cmd_td(args) -> int:
-    klass = parse_class(_read(args.classfile))
+    report = {"command": "td", "inputs": []}
+    klass = parse_class(_read(args.classfile, report))
     t0 = time.perf_counter()
     value, label = teaching_dim(klass)
     ms = (time.perf_counter() - t0) * 1000
-    report = _base_report("td", [args.classfile])
     report |= {"td": value, "argmax": label, "duration_ms": round(ms, 3)}
     _emit(report, args.json, [f"TD = {value} (concept {label})"])
     return 0
 
 
 def _cmd_tdmin(args) -> int:
-    klass = parse_class(_read(args.classfile))
+    report = {"command": "tdmin", "inputs": []}
+    klass = parse_class(_read(args.classfile, report))
     t0 = time.perf_counter()
     value, label = td_min(klass)
     ms = (time.perf_counter() - t0) * 1000
-    report = _base_report("tdmin", [args.classfile])
     report |= {"td_min": value, "argmin": label, "duration_ms": round(ms, 3)}
     _emit(report, args.json, [f"TD_min = {value} (concept {label})"])
     return 0
 
 
 def _cmd_rtd(args) -> int:
-    klass = parse_class(_read(args.classfile))
+    report = {"command": "rtd", "inputs": []}
+    klass = parse_class(_read(args.classfile, report))
     t0 = time.perf_counter()
     res = rtd(klass)
     ms = (time.perf_counter() - t0) * 1000
     plan_text = serialize_plan(res.plan)
     if args.plan_out:
-        Path(args.plan_out).write_text(plan_text)
-    report = _base_report("rtd", [args.classfile])
+        _write((args.plan_out, plan_text))
     report |= {
         "rtd": res.value,
         "plan": [[label, list(pts)] for label, pts in res.plan.steps],
@@ -152,20 +173,20 @@ def _cmd_rtd(args) -> int:
 
 
 def _cmd_rtd_oracle(args) -> int:
-    klass = parse_class(_read(args.classfile))
+    report = {"command": "rtd-oracle", "inputs": []}
+    klass = parse_class(_read(args.classfile, report))
     t0 = time.perf_counter()
     value = rtd_oracle_subsets(klass, cap=args.cap)
     ms = (time.perf_counter() - t0) * 1000
-    report = _base_report("rtd-oracle", [args.classfile])
     report |= {"rtd": value, "duration_ms": round(ms, 3)}
     _emit(report, args.json, [f"RTD (subset oracle) = {value}"])
     return 0
 
 
 def _cmd_plan_check(args) -> int:
-    klass = parse_class(_read(args.classfile))
-    plan = parse_plan(_read(args.planfile))
-    report = _base_report("plan-check", [args.classfile, args.planfile])
+    report = {"command": "plan-check", "inputs": []}
+    klass = parse_class(_read(args.classfile, report))
+    plan = parse_plan(_read(args.planfile, report))
     try:
         width = check_plan(klass, plan)
     except InvalidPlanError as e:
@@ -200,7 +221,8 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    g = parse_graph(_read(args.graphfile))
+    report = {"command": "reduce", "inputs": []}
+    g = parse_graph(_read(args.graphfile, report))
     stem = Path(args.graphfile).stem
     if args.variant == "rtd":
         if args.k is None:
@@ -231,9 +253,7 @@ def _cmd_reduce(args) -> int:
         }
     class_path = Path(prefix + ".class")
     meta_path = Path(prefix + ".meta.json")
-    class_path.write_text(class_text)
-    meta_path.write_text(meta_text)
-    report = _base_report("reduce", [args.graphfile])
+    _write((class_path, class_text), (meta_path, meta_text))
     report |= summary
     report |= {"class_file": str(class_path), "metadata_file": str(meta_path)}
     human = [f"{key}: {value}" for key, value in summary.items()] + [
@@ -245,7 +265,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = parse_graph(_read(args.graphfile))
+    report = {"command": "verify", "inputs": []}
+    g = parse_graph(_read(args.graphfile, report))
     k = args.k
     # Parameter violations (exit 2) outrank the budget gate (exit 3).
     if g.n < 2:
@@ -278,7 +299,6 @@ def _cmd_verify(args) -> int:
     lap("domset")
     decided, _ = rtd_decision(out.klass, k)
     lap("decision")
-    report = _base_report("verify", [args.graphfile])
     report |= {
         "k": k,
         "concepts": len(out.klass.concepts),
@@ -346,7 +366,7 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     g = gen_random_graph(args.n, args.p, args.seed)
     out = args.out or f"er_n{args.n}_p{args.p}_s{args.seed}.graph"
-    Path(out).write_text(serialize_graph(g))
+    _write((out, serialize_graph(g)))
     print(f"wrote {out} ({g.n} vertices, {len(g.edges)} edges)")
     return 0
 
@@ -391,7 +411,7 @@ def _cmd_bench(args) -> int:
             )
     text = "\n".join(rows) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _write((args.out, text))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -54,6 +54,15 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.closed_neighborhood_mask(v).bit_count() - 1
 
+    def dominated_by(self, vertices: Iterable[int]) -> bool:
+        """True iff every vertex is in `vertices` or adjacent to one of them."""
+        covered = 0
+        for v in vertices:
+            if not (0 <= v < self.n):
+                raise InvalidArgumentError(f"vertex {v} outside 0..{self.n - 1}")
+            covered |= self._closed_nbr[v]  # type: ignore[attr-defined]
+        return covered == (1 << self.n) - 1
+
 
 def dominates(g: Graph, u: int, v: int) -> bool:
     """True iff u = v or {u, v} is an edge."""
@@ -72,13 +81,8 @@ def has_dominating_set(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
     """
     if not (0 <= k <= g.n):
         raise InvalidArgumentError(f"k must lie in 0..{g.n}, got {k}")
-    size = min(k, g.n)
-    full = (1 << g.n) - 1
-    for combo in itertools.combinations(range(g.n), size):
-        covered = 0
-        for v in combo:
-            covered |= g.closed_neighborhood_mask(v)
-        if covered == full:
+    for combo in itertools.combinations(range(g.n), min(k, g.n)):
+        if g.dominated_by(combo):
             return True, combo
     return False, None
 
@@ -124,6 +128,8 @@ def parse_graph(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError("header counts must be integers", lineno) from None
+    if n < 0 or m < 0:
+        raise ParseError("header counts must be non-negative", lineno)
     body_lines = lines[1:]
     if len(body_lines) != m:
         raise ParseError(f"expected {m} edge lines, found {len(body_lines)}", lineno)

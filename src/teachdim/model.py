@@ -216,18 +216,22 @@ def restrict(c: Concept, points: Iterable[int]) -> dict[int, int]:
     return {i: c.values[i] for i in pts}
 
 
+def _first_agreeing(
+    klass: ConceptClass, ci: int, pts: tuple[int, ...], others: Iterable[int]
+) -> int | None:
+    """The first of `others` but ci that agrees with ci on the distinct `pts`, else None."""
+    smask = sum(1 << i for i in pts)
+    cmask = klass.row_mask(ci)
+    return next(
+        (cj for cj in others if cj != ci and (klass.row_mask(cj) ^ cmask) & smask == 0), None
+    )
+
+
 def is_teaching_set(c: Concept, klass: ConceptClass, points: Iterable[int]) -> bool:
     """True iff every other concept of the class disagrees with `c` somewhere on `points`."""
     ci = klass.member_index(c)
     pts = _check_indices(points, klass.width)
-    smask = 0
-    for i in pts:
-        smask |= 1 << i
-    cmask = klass.row_mask(ci)
-    for j in range(len(klass.concepts)):
-        if j != ci and (klass.row_mask(j) ^ cmask) & smask == 0:
-            return False
-    return True
+    return _first_agreeing(klass, ci, pts, range(len(klass.concepts))) is None
 
 
 def check_plan(klass: ConceptClass, plan: TeachingPlan) -> int:
@@ -255,19 +259,15 @@ def check_plan(klass: ConceptClass, plan: TeachingPlan) -> int:
             raise MalformedPlanError(f"step for {label!r}: {e}") from None
     width = 0
     for i, (ci, pts) in enumerate(zip(order, sets)):
-        smask = 0
-        for x in pts:
-            smask |= 1 << x
-        cmask = klass.row_mask(ci)
-        for cj in order[i + 1 :]:
-            if (klass.row_mask(cj) ^ cmask) & smask == 0:
-                other = klass.concepts[cj].label
-                raise InvalidPlanError(
-                    i,
-                    other,
-                    f"step {i} ({plan.steps[i][0]!r}, {set(pts) or '{}'}) fails: "
-                    f"{other!r} agrees on the chosen points",
-                )
+        cj = _first_agreeing(klass, ci, pts, order[i + 1 :])
+        if cj is not None:
+            other = klass.concepts[cj].label
+            raise InvalidPlanError(
+                i,
+                other,
+                f"step {i} ({plan.steps[i][0]!r}, {set(pts) or '{}'}) fails: "
+                f"{other!r} agrees on the chosen points",
+            )
         width = max(width, len(pts))
     return width
 
@@ -314,6 +314,9 @@ def parse_class(text: str) -> ConceptClass:
             raise ParseError(
                 f"labels line names {len(names)} points, expected {n_points}", lineno
             )
+        if len(set(names)) < n_points:
+            dup = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ParseError(f"duplicate domain label {dup!r}", lineno)
         point_labels = names
         rest = rest[1:]
     if len(rest) != n_concepts:
@@ -352,11 +355,9 @@ def parse_class(text: str) -> ConceptClass:
             )
         seen_rows[bits] = lineno
         concepts.append(Concept(label, tuple(int(ch) for ch in bits)))
+    # Every invariant ConceptClass enforces was checked above, with its line.
     domain = tuple(DomainPoint(i, lab) for i, lab in enumerate(point_labels))
-    try:
-        return ConceptClass(domain, tuple(concepts))
-    except InvalidArgumentError as e:
-        raise ParseError(str(e)) from None
+    return ConceptClass(domain, tuple(concepts))
 
 
 def serialize_class(klass: ConceptClass) -> str:

@@ -32,7 +32,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError, InvariantError, SoundnessViolationError
-from .gadget import DEFAULT_K_CAP, Gadget, build_gadget
+from .gadget import Gadget, build_gadget
 from .graph import Graph, dominates
 from .model import Concept, ConceptClass, DomainPoint, TeachingPlan, is_teaching_set
 
@@ -61,7 +61,7 @@ class ConceptRef:
 
 @dataclass(frozen=True)
 class ReductionOutput:
-    """The reduced concept class plus everything needed to interpret it."""
+    """The reduced concept class, the gadget it replicates, and what interprets them."""
 
     klass: ConceptClass
     graph: Graph
@@ -70,6 +70,7 @@ class ReductionOutput:
     q: int
     point_map: tuple[PointRef, ...]
     concept_map: tuple[tuple[str, ConceptRef], ...]
+    gadget: Gadget
 
     def __post_init__(self):
         object.__setattr__(self, "_refs", dict(self.concept_map))
@@ -179,7 +180,7 @@ def shinohara_reduce(g: Graph) -> ShinoharaResult:
     )
 
 
-def domset_to_rtd(g: Graph, k: int, *, gadget_cap: int = DEFAULT_K_CAP) -> ReductionOutput:
+def domset_to_rtd(g: Graph, k: int) -> ReductionOutput:
     """Build the reduced concept class for the instance (g, k).
 
     Requires 1 <= k <= N and N >= 2; the output has q(N+1) concepts over
@@ -191,7 +192,7 @@ def domset_to_rtd(g: Graph, k: int, *, gadget_cap: int = DEFAULT_K_CAP) -> Reduc
         raise InvalidArgumentError("reduction requires at least 2 vertices")
     if not (1 <= k <= n):
         raise InvalidArgumentError(f"k must lie in 1..{n}, got {k}")
-    gadget = build_gadget(k, cap=gadget_cap)
+    gadget = build_gadget(k)
     p, q = gadget.p, gadget.q
     patterns = [c.bitstring() for c in gadget.klass.concepts]
 
@@ -237,16 +238,8 @@ def domset_to_rtd(g: Graph, k: int, *, gadget_cap: int = DEFAULT_K_CAP) -> Reduc
             f"expected {q * (n + 1)} x {2 * p * n}"
         )
     return ReductionOutput(
-        klass, g, k, p, q, tuple(point_map), tuple(concept_map)
+        klass, g, k, p, q, tuple(point_map), tuple(concept_map), gadget
     )
-
-
-def _gadget_of(out: ReductionOutput) -> Gadget:
-    return build_gadget(out.k)
-
-
-def _support_of(pattern: str) -> tuple[int, ...]:
-    return tuple(i for i, ch in enumerate(pattern) if ch == "1")
 
 
 def witness_plan(out: ReductionOutput, dominating: Iterable[int]) -> TeachingPlan:
@@ -262,26 +255,18 @@ def witness_plan(out: ReductionOutput, dominating: Iterable[int]) -> TeachingPla
         raise InvalidArgumentError(
             f"dominating set must have size exactly k = {out.k}, got {len(T)}"
         )
-    for v in T:
-        if not (0 <= v < out.n_vertices):
-            raise InvalidArgumentError(f"vertex {v} outside the graph")
-    full = (1 << out.n_vertices) - 1
-    covered = 0
-    for v in T:
-        covered |= out.graph.closed_neighborhood_mask(v)
-    if covered != full:
+    if not out.graph.dominated_by(T):
         raise InvalidArgumentError(f"{[out.graph.vertex_label(v) for v in T]} does not dominate the graph")
     steps: list[tuple[str, tuple[int, ...]]] = []
-    gadget = _gadget_of(out)
-    supports = [_support_of(c.bitstring()) for c in gadget.klass.concepts]
-    patterns = [c.bitstring() for c in gadget.klass.concepts]
-    for pat, sup in zip(patterns, supports):
-        pairs = nu_pairing(T, list(sup))
+    gadget = out.gadget.klass.concepts
+    members = [(c.bitstring(), tuple(z for z, bit in enumerate(c.values) if bit)) for c in gadget]
+    for pat, sup in members:
+        pairs = nu_pairing(T, sup)
         steps.append(
             (out.constraint_label(pat), tuple(out.vz_index(v, z) for v, z in pairs))
         )
     for u in range(out.n_vertices):
-        for pat, sup in zip(patterns, supports):
+        for pat, sup in members:
             steps.append(
                 (out.vertex_concept_label(u, pat), tuple(out.zv_index(z, u) for z in sup))
             )
@@ -333,11 +318,7 @@ def extract_domset(
                 f"teaching set shows a zero of {label!r} at index {i}"
             )
     T = tuple(sorted({out.point_map[i].vertex for i in pts}))
-    full = (1 << out.n_vertices) - 1
-    covered = 0
-    for v in T:
-        covered |= out.graph.closed_neighborhood_mask(v)
-    if covered != full:
+    if not out.graph.dominated_by(T):
         raise SoundnessViolationError(
             f"projected set {[out.graph.vertex_label(v) for v in T]} does not dominate the graph"
         )
@@ -403,44 +384,35 @@ def check_observations(
             set_masks.append(sum(bits[i] for i in rng.sample(range(width), s)))
     n_sets = len(set_masks)
 
-    gadget = _gadget_of(out)
-    gmasks = [c.mask() for c in gadget.klass.concepts]
-    pattern_index = {c.bitstring(): i for i, c in enumerate(gadget.klass.concepts)}
+    gmasks = [c.mask() for c in out.gadget.klass.concepts]
+    pattern_index = {c.bitstring(): i for i, c in enumerate(out.gadget.klass.concepts)}
     zbit = [1 << ref.zpoint for ref in out.point_map]
     masks = [out.klass.row_mask(i) for i in range(len(out.klass.concepts))]
+    # One family per vertex, None for the constraints; its concepts share `support` and `sel`.
     families: dict[int | None, list[int]] = {}
-    # Concepts of one family and one kind share `support` and `sel`.
-    units: dict[tuple[int | None, str], list[int]] = {}
     for ci, (_, ref) in enumerate(out.concept_map):
         families.setdefault(ref.vertex, []).append(ci)
-        units.setdefault((ref.vertex, ref.kind), []).append(ci)
 
     first_fail: dict[int, int] = {}
-    for (vertex, kind), unit in units.items():
-        family = families[vertex]
+    for vertex, family in families.items():
         rows = [masks[cj] for cj in family]
         support = 0
         for row in rows:
             support |= row ^ rows[0]
-        if kind == "constraint":
-            sel = sum(bits[i] for i, ref in enumerate(out.point_map) if ref.block == "VZ")
+        if vertex is None:
+            sel = (1 << out.n_vertices * out.p) - 1  # the VZ block
         else:
-            sel = sum(
-                bits[i]
-                for i, ref in enumerate(out.point_map)
-                if ref.block == "ZV" and ref.vertex == vertex
-            )
+            sel = sum(1 << out.zv_index(z, vertex) for z in range(out.p))
         keymask = support | sel
         # Built from the last set to the first, so each key keeps its first index.
         first = dict(zip(map(keymask.__and__, reversed(set_masks)), range(n_sets - 1, -1, -1)))
-        at = [family.index(ci) for ci in unit]
-        gis = [pattern_index[out.concept_map[ci][1].pattern] for ci in unit]
+        gis = [pattern_index[out.concept_map[ci][1].pattern] for ci in family]
         rhs_of: dict[int, list[bool]] = {}
         for key, idx in first.items():
             # S teaches a member iff no other member agrees with it on S.
             projs = [row & key for row in rows]
             seen = Counter(projs)
-            lhs = [seen[projs[j]] == 1 for j in at]
+            lhs = [seen[proj] == 1 for proj in projs]
             zmask = 0
             rest = key & sel
             while rest:
@@ -453,7 +425,7 @@ def check_observations(
                 gseen = Counter(gprojs)
                 rhs = rhs_of[zmask] = [gseen[gprojs[gi]] == 1 for gi in gis]
             if lhs != rhs:
-                for ci, left, right in zip(unit, lhs, rhs):
+                for ci, left, right in zip(family, lhs, rhs):
                     if left != right and idx < first_fail.get(ci, n_sets):
                         first_fail[ci] = idx
     if first_fail:

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,7 @@ from teachdim.cli import main
 POINT_CLASS = "4 3\n100 100\n010 010\n001 001\n000 000\n"
 K3_GRAPH = "3 3\n0 1\n0 2\n1 2\n"
 EMPTY2_GRAPH = "2 0\n"
+POINT_PLAN = "100 0\n010 1\n001 2\n000\n"  # `rtd`'s plan for POINT_CLASS
 
 
 @pytest.fixture
@@ -252,3 +256,129 @@ def test_bench_default_sweep(workdir, capsys):
 def test_bench_bad_sweep_exit_2(workdir, capsys):
     code, _, _ = run(capsys, "bench", "Q=1..2")
     assert code == 2
+
+
+# -- reading and writing files ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["td", "bin.txt"],
+        ["plan-check", "pointclass.txt", "bin.txt"],
+        ["verify", "bin.txt", "1"],
+        ["reduce", "rtd", "bin.txt", "1"],
+    ],
+)
+def test_undecodable_input_exit_2(workdir, capsys, argv):
+    (workdir / "bin.txt").write_bytes(b"\xff\xfe2 2\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "cannot read bin.txt: not " in err and " text" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rtd", "pointclass.txt", "--plan-out", "nodir/p.plan"],
+        ["reduce", "rtd", "k3.graph", "1", "--out", "nodir/x"],
+        ["gen", "3", "0.5", "1", "--out", "nodir/g.graph"],
+        ["bench", "N=2", "k=1", "--out", "nodir/b.csv"],
+    ],
+)
+def test_write_to_missing_directory_exit_2(workdir, capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "cannot write nodir/" in err
+    assert not (workdir / "nodir").exists()
+
+
+def test_failed_rename_keeps_targets_and_leaves_no_temporary(workdir, capsys, monkeypatch):
+    (workdir / "x.class").write_text("old class\n")
+    (workdir / "x.meta.json").write_text("old meta\n")
+    (workdir / "p.plan").write_text("old plan\n")
+    before = sorted(p.name for p in workdir.iterdir())
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr("teachdim.cli.os.replace", refuse)
+    code, _, err = run(capsys, "reduce", "rtd", "k3.graph", "1", "--out", "x")
+    assert code == 2
+    assert "cannot write x.class: Permission denied" in err
+    code, _, err = run(capsys, "rtd", "pointclass.txt", "--plan-out", "p.plan")
+    assert code == 2
+    assert (workdir / "x.class").read_text() == "old class\n"
+    assert (workdir / "x.meta.json").read_text() == "old meta\n"
+    assert (workdir / "p.plan").read_text() == "old plan\n"
+    assert sorted(p.name for p in workdir.iterdir()) == before
+
+
+def test_second_rename_failing_leaves_no_temporary(workdir, capsys, monkeypatch):
+    real, calls = os.replace, []
+
+    def second_fails(src, dst):
+        calls.append((Path(dst).name, sorted(p.name for p in workdir.glob("*.tmp"))))
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        real(src, dst)
+
+    monkeypatch.setattr("teachdim.cli.os.replace", second_fails)
+    code, _, err = run(capsys, "reduce", "rtd", "k3.graph", "1", "--out", "x")
+    assert code == 2
+    assert "cannot write x.meta.json: No space left on device" in err
+    # Both temporary files were written before the first rename.
+    assert [name for name, _ in calls] == ["x.class", "x.meta.json"]
+    assert [len(temps) for _, temps in calls] == [2, 1]
+    assert sorted(p.name for p in workdir.iterdir()) == [
+        "empty2.graph", "k3.graph", "pointclass.txt", "x.class"
+    ]
+
+
+def test_writes_leave_only_their_targets(workdir, capsys):
+    umask = os.umask(0)
+    os.umask(umask)
+    (workdir / "p.plan").write_text("stale\n")
+    os.chmod(workdir / "p.plan", 0o600)
+    assert run(capsys, "rtd", "pointclass.txt", "--plan-out", "p.plan")[0] == 0
+    assert run(capsys, "reduce", "rtd", "k3.graph", "1", "--out", "x")[0] == 0
+    assert run(capsys, "gen", "3", "0.5", "1", "--out", "g.graph")[0] == 0
+    assert run(capsys, "bench", "N=2", "k=1", "--out", "b.csv")[0] == 0
+    written = ["b.csv", "g.graph", "p.plan", "x.class", "x.meta.json"]
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(
+        written + ["empty2.graph", "k3.graph", "pointclass.txt"]
+    )
+    # A new file is created under the umask, as a plain write creates it.
+    for name in written:
+        assert (workdir / name).stat().st_mode & 0o777 == 0o666 & ~umask
+    assert (workdir / "p.plan").read_text() == POINT_PLAN
+
+
+def test_plan_out_writes_through_a_symlink(workdir, capsys):
+    (workdir / "real.plan").write_text("stale\n")
+    (workdir / "link.plan").symlink_to("real.plan")
+    assert run(capsys, "rtd", "pointclass.txt", "--plan-out", "link.plan")[0] == 0
+    assert (workdir / "link.plan").is_symlink()
+    assert (workdir / "real.plan").read_text() == POINT_PLAN
+
+
+def test_json_inputs_hash_the_parsed_bytes(workdir, capsys):
+    (workdir / "crlf.txt").write_bytes(POINT_CLASS.replace("\n", "\r\n").encode())
+    code, out, _ = run(capsys, "rtd", "crlf.txt", "--plan-out", "pf.plan", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rtd"] == 1
+    data = (workdir / "crlf.txt").read_bytes()
+    assert doc["inputs"] == [{"path": "crlf.txt", "sha256": hashlib.sha256(data).hexdigest()}]
+    code, out, _ = run(capsys, "plan-check", "crlf.txt", "pf.plan", "--json")
+    assert [i["path"] for i in json.loads(out)["inputs"]] == ["crlf.txt", "pf.plan"]
+
+
+def test_each_input_is_read_once(workdir, capsys, monkeypatch):
+    reads, real = [], Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self.name) or real(self))
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **kw: pytest.fail("read twice"))
+    assert run(capsys, "rtd", "pointclass.txt", "--json")[0] == 0
+    assert run(capsys, "verify", "k3.graph", "1", "--json")[0] == 0
+    assert reads == ["pointclass.txt", "k3.graph"]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from teachdim import (
@@ -153,3 +155,35 @@ def test_graph_parse_comments():
 def test_graph_parse_errors(text):
     with pytest.raises(ParseError):
         parse_graph(text)
+
+
+@pytest.mark.parametrize("text, line", [("-1 0\n", 1), ("# none\n\n-2 0\n", 3)])
+def test_graph_parse_errors_name_the_line(text, line):
+    with pytest.raises(ParseError) as ei:
+        parse_graph(text)
+    assert ei.value.line == line
+
+
+# -- domination by a set -------------------------------------------------------------
+
+
+def test_dominated_by_matches_bruteforce():
+    for n in range(5):
+        for g in all_labeled_graphs(n):
+            for size in range(n + 1):
+                for T in itertools.combinations(range(n), size):
+                    expected = all(
+                        any(v == u or (min(u, v), max(u, v)) in g.edges for v in T)
+                        for u in range(n)
+                    )
+                    assert g.dominated_by(T) is expected
+                    assert g.dominated_by(list(T) * 2) is expected
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 3, 7])
+def test_dominated_by_rejects_out_of_range(bad):
+    # A negative index must not wrap around to a real vertex.
+    with pytest.raises(InvalidArgumentError):
+        K3.dominated_by([0, 1, bad])
+    with pytest.raises(InvalidArgumentError):
+        Graph(0, frozenset()).dominated_by([bad])

@@ -282,3 +282,16 @@ def test_plan_parse_rejects_junk():
         parse_plan("a one two\n")
     with pytest.raises(ParseError):
         parse_plan("a -1\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("2 2\nlabels: p p\nA 10\nB 01\n", 2),  # repeated point label
+        ("# c\n1 3\nlabels: a b a\nA 101\n", 3),
+    ],
+)
+def test_parse_errors_name_the_line(text, line):
+    with pytest.raises(ParseError) as ei:
+        parse_class(text)
+    assert ei.value.line == line

@@ -224,6 +224,30 @@ def test_witness_plan_rejects_wrong_size():
         witness_plan(out, (0, 1))
 
 
+@pytest.mark.parametrize("bad", [-1, -3, 3])
+def test_witness_plan_rejects_out_of_range_vertex(bad):
+    # A negative vertex must not wrap around to a real one.
+    out = domset_to_rtd(K3, 1)
+    with pytest.raises(InvalidArgumentError):
+        witness_plan(out, (bad,))
+
+
+def test_reduction_builds_its_gadget_once(monkeypatch):
+    # witness_plan and check_observations read the gadget domset_to_rtd stored.
+    calls = []
+
+    def counted(k, **kwargs):
+        calls.append(k)
+        return build_gadget(k, **kwargs)
+
+    monkeypatch.setattr("teachdim.reduction.build_gadget", counted)
+    out = domset_to_rtd(K3, 1)
+    witness_plan(out, (0,))
+    check_observations(out, max_sets=50)
+    assert calls == [1]
+    assert out.gadget == build_gadget(out.k)
+
+
 # -- soundness ----------------------------------------------------------------------
 
 

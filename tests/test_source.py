@@ -30,3 +30,20 @@ def test_subset_oracle_shares_nothing_with_the_kernel():
     assert KERNEL <= defs.keys()
     used = {node.id for node in ast.walk(defs["rtd_oracle_subsets"]) if isinstance(node, ast.Name)}
     assert used & defs.keys() == set()
+
+
+def test_cli_writes_files_only_through_write():
+    # Every output file goes through the atomic `_write`, so no command can
+    # leave a truncated file or skip its error handling.
+    path = Path(teachdim.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    inside = {id(node) for node in ast.walk(defs["_write"])}
+
+    def name(func):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    writes = {"write_text", "write_bytes", "open"}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and name(node.func) in writes]
+    assert any(id(node) in inside for node in calls)
+    assert [node.lineno for node in calls if id(node) not in inside] == []
