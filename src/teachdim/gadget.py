@@ -67,7 +67,7 @@ def build_gadget(k: int, *, cap: int = DEFAULT_K_CAP) -> Gadget:
     p = 2 * k + 1
     rows = []
     for support in itertools.combinations(range(p), k):
-        rows.append(tuple(1 if i in support else 0 for i in range(p)))
+        rows.append("".join("1" if i in support else "0" for i in range(p)))
     klass = ConceptClass.from_rows(rows, point_labels=[f"z{i}" for i in range(p)])
     q = comb(p, k)
     if len(klass.concepts) != q:

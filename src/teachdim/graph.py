@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidArgumentError, ParseError
+from .model import _meaningful_lines
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,6 @@ class Graph:
 
     def closed_neighborhood_mask(self, v: int) -> int:
         return self._closed_nbr[v]  # type: ignore[attr-defined]
-
-    def degree(self, v: int) -> int:
-        return self.closed_neighborhood_mask(v).bit_count() - 1
 
     def dominated_by(self, vertices: Iterable[int]) -> bool:
         """True iff every vertex is in `vertices` or adjacent to one of them."""
@@ -113,11 +111,7 @@ def gen_random_graph(n: int, edge_probability: float, seed: int) -> Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((lineno, body))
+    lines = _meaningful_lines(text)
     if not lines:
         raise ParseError("empty input, expected '<n> <m>' header")
     lineno, header = lines[0]

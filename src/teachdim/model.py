@@ -24,10 +24,21 @@ from .errors import (
 
 
 def _check_label(label: str, what: str) -> None:
-    if not label or any(ch.isspace() for ch in label) or "#" in label:
+    if not label or label.split() != [label] or "#" in label:
         raise InvalidArgumentError(
             f"{what} label {label!r} must be non-empty, whitespace-free and '#'-free"
         )
+
+
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")  # the bytes 0 and 1 to the characters "0" and "1"
+
+
+def _bitstring(values: Iterable[int], what: str) -> str:
+    """The bitstring of `values`, each of which must equal 0 or 1."""
+    values = tuple(values)
+    if not all(map((0, 1).__contains__, values)):
+        raise InvalidArgumentError(f"{what} has non-bit values")
+    return bytes(map(bool, values)).translate(_BIT_CHARS).decode()
 
 
 @dataclass(frozen=True)
@@ -38,29 +49,46 @@ class DomainPoint:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Concept:
-    """A named bit vector; entry i is the concept's value on domain point i."""
+    """A named bit vector; entry i is the concept's value on domain point i.
+
+    The row is stored as one int, bit i = value at point i, plus its width;
+    `values`, `bitstring()` and `mask()` are views of it.  Any value equal to
+    0 or 1, such as True or 1.0, is stored as that bit.
+    """
 
     label: str
-    values: tuple[int, ...]
+    _mask: int
+    _width: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        _check_label(self.label, "concept")
-        if any(v not in (0, 1) for v in self.values):
-            raise InvalidArgumentError(f"concept {self.label!r} has non-bit values")
+    def __init__(self, label: str, values: Iterable[int]):
+        self._init(label, _bitstring(values, f"concept {label!r}"))
+
+    @classmethod
+    def _from_bits(cls, label: str, bits: str) -> Concept:
+        """The concept with bitstring `bits`, which the caller checked holds only 0s and 1s."""
+        c = cls.__new__(cls)
+        c._init(label, bits)
+        return c
+
+    def _init(self, label: str, bits: str) -> None:
+        _check_label(label, "concept")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_mask", int(bits[::-1], 2) if bits else 0)
+        object.__setattr__(self, "_width", len(bits))
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        return tuple(map(int, self.bitstring()))
 
     def bitstring(self) -> str:
-        return "".join(str(v) for v in self.values)
+        # A 1 above the top point keeps leading zeros; bin's digits read backwards from bit 0.
+        return bin(self._mask | 1 << self._width)[:2:-1]
 
     def mask(self) -> int:
         """Values packed into an int, bit i = value at index i."""
-        m = 0
-        for i, v in enumerate(self.values):
-            if v:
-                m |= 1 << i
-        return m
+        return self._mask
 
 
 @dataclass(frozen=True)
@@ -90,25 +118,21 @@ class ConceptClass:
                 raise InvalidArgumentError(f"duplicate domain label {pt.label!r}")
             seen_pt.add(pt.label)
         width = len(self.domain)
-        masks = []
         by_label: dict[str, int] = {}
         by_mask: dict[int, str] = {}
         for i, c in enumerate(self.concepts):
-            if len(c.values) != width:
+            if c._width != width:
                 raise InvalidArgumentError(
-                    f"concept {c.label!r} has {len(c.values)} values, expected {width}"
+                    f"concept {c.label!r} has {c._width} values, expected {width}"
                 )
             if c.label in by_label:
                 raise InvalidArgumentError(f"duplicate concept label {c.label!r}")
             by_label[c.label] = i
-            m = c.mask()
-            if m in by_mask:
+            if c._mask in by_mask:
                 raise InvalidArgumentError(
-                    f"duplicate concept rows: {by_mask[m]!r} and {c.label!r}"
+                    f"duplicate concept rows: {by_mask[c._mask]!r} and {c.label!r}"
                 )
-            by_mask[m] = c.label
-            masks.append(m)
-        object.__setattr__(self, "_masks", tuple(masks))
+            by_mask[c._mask] = c.label
         object.__setattr__(self, "_by_label", by_label)
 
     # -- construction helpers ------------------------------------------------
@@ -125,24 +149,19 @@ class ConceptClass:
         Concept labels default to the rows' bitstrings; point labels default
         to "x0", "x1", ...
         """
-        parsed: list[tuple[int, ...]] = []
-        for r in rows:
-            if isinstance(r, str):
-                if any(ch not in "01" for ch in r):
-                    raise InvalidArgumentError(f"row {r!r} is not a bitstring")
-                parsed.append(tuple(int(ch) for ch in r))
-            else:
-                parsed.append(tuple(r))
+        parsed = [r if isinstance(r, str) else _bitstring(r, "row") for r in rows]
+        for r in parsed:
+            if r.strip("01"):
+                raise InvalidArgumentError(f"row {r!r} is not a bitstring")
         width = len(parsed[0]) if parsed else 0
         if point_labels is None:
             point_labels = [f"x{i}" for i in range(width)]
         if labels is None:
-            labels = ["".join(str(v) for v in row) for row in parsed]
+            labels = parsed
         if len(labels) != len(parsed):
             raise InvalidArgumentError("one label per row required")
         domain = tuple(DomainPoint(i, lab) for i, lab in enumerate(point_labels))
-        concepts = tuple(Concept(lab, row) for lab, row in zip(labels, parsed))
-        return cls(domain, concepts)
+        return cls(domain, tuple(map(Concept._from_bits, labels, parsed)))
 
     # -- queries ---------------------------------------------------------------
 
@@ -163,12 +182,12 @@ class ConceptClass:
         return self.concepts[self.index_of(label)]
 
     def row_mask(self, index: int) -> int:
-        return self._masks[index]  # type: ignore[attr-defined]
+        return self.concepts[index]._mask
 
     def member_index(self, c: Concept) -> int:
         """Index of `c` in the class; the label must exist with equal values."""
         i = self.index_of(c.label)
-        if self.concepts[i].values != c.values:
+        if self.concepts[i] != c:
             raise InvalidArgumentError(
                 f"concept {c.label!r} disagrees with the class member of the same label"
             )
@@ -212,8 +231,8 @@ def _check_indices(points: Iterable[int], width: int) -> tuple[int, ...]:
 
 def restrict(c: Concept, points: Iterable[int]) -> dict[int, int]:
     """The partial labelling {i: c(x_i)} of `c` on the given point indices."""
-    pts = _check_indices(points, len(c.values))
-    return {i: c.values[i] for i in pts}
+    pts = _check_indices(points, c._width)
+    return {i: c._mask >> i & 1 for i in pts}
 
 
 def _first_agreeing(
@@ -326,7 +345,6 @@ def parse_class(text: str) -> ConceptClass:
         )
     seen_labels: dict[str, int] = {}
     seen_rows: dict[str, int] = {}
-    concepts = []
     for lineno, body in rest:
         toks = body.split()
         if n_points == 0:
@@ -347,17 +365,15 @@ def parse_class(text: str) -> ConceptClass:
             raise ParseError(
                 f"bitstring has length {len(bits)}, expected {n_points}", lineno
             )
-        if any(ch not in "01" for ch in bits):
+        if bits.strip("01"):
             raise ParseError(f"bitstring {bits!r} has characters outside 0/1", lineno)
         if bits in seen_rows:
             raise ParseError(
                 f"duplicate concept row (same as line {seen_rows[bits]})", lineno
             )
         seen_rows[bits] = lineno
-        concepts.append(Concept(label, tuple(int(ch) for ch in bits)))
     # Every invariant ConceptClass enforces was checked above, with its line.
-    domain = tuple(DomainPoint(i, lab) for i, lab in enumerate(point_labels))
-    return ConceptClass(domain, tuple(concepts))
+    return ConceptClass.from_rows(list(seen_rows), list(seen_labels), point_labels)
 
 
 def serialize_class(klass: ConceptClass) -> str:

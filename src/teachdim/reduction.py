@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError, InvariantError, SoundnessViolationError
 from .gadget import Gadget, build_gadget
-from .graph import Graph, dominates
-from .model import Concept, ConceptClass, DomainPoint, TeachingPlan, is_teaching_set
+from .graph import Graph
+from .model import Concept, ConceptClass, TeachingPlan, is_teaching_set
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,11 @@ def nu_pairing(a: Sequence, b: Sequence) -> tuple[tuple, ...]:
     return tuple(zip(a, b))
 
 
+def _undominated(g: Graph, u: int) -> str:
+    """The bitstring over the vertices that is 0 at each vertex dominating u."""
+    return f"{(1 << g.n) - 1 ^ g.closed_neighborhood_mask(u):0{g.n}b}"[::-1]
+
+
 def shinohara_reduce(g: Graph) -> ShinoharaResult:
     """One concept per vertex (0 where dominated) plus the all-one concept.
 
@@ -150,34 +155,27 @@ def shinohara_reduce(g: Graph) -> ShinoharaResult:
     """
     if g.n == 0:
         raise InvalidArgumentError("reduction needs a nonempty graph")
-    rows: dict[tuple[int, ...], list[int]] = {}
-    order: list[tuple[int, ...]] = []
+    rows: dict[str, list[int]] = {}  # row -> its vertices, in first-seen order
     for u in range(g.n):
-        row = tuple(0 if dominates(g, v, u) else 1 for v in range(g.n))
+        row = _undominated(g, u)
         # u dominates itself, so no vertex row can be all-one.
-        if row[u] != 0:
+        if row[u] != "0":
             raise InvariantError(f"vertex {g.vertex_label(u)} does not dominate itself")
-        if row not in rows:
-            rows[row] = []
-            order.append(row)
-        rows[row].append(u)
-    star = (1,) * g.n
+        rows.setdefault(row, []).append(u)
+    star = "1" * g.n
     if star in rows:
         raise InvariantError("a vertex row is all-one")
-    domain = tuple(DomainPoint(i, g.vertex_label(i)) for i in range(g.n))
-    concepts = []
-    merges = []
-    for row in order:
-        members = rows[row]
-        kept = f"c_{g.vertex_label(members[0])}"
-        concepts.append(Concept(kept, row))
-        if len(members) > 1:
-            merges.append((kept, tuple(g.vertex_label(u) for u in members)))
-    star_label = "ones"
-    concepts.append(Concept(star_label, star))
-    return ShinoharaResult(
-        ConceptClass(domain, tuple(concepts)), star_label, tuple(merges)
+    kept = [f"c_{g.vertex_label(members[0])}" for members in rows.values()]
+    merges = tuple(
+        (label, tuple(map(g.vertex_label, members)))
+        for label, members in zip(kept, rows.values())
+        if len(members) > 1
     )
+    star_label = "ones"
+    klass = ConceptClass.from_rows(
+        [*rows, star], kept + [star_label], list(map(g.vertex_label, range(g.n)))
+    )
+    return ShinoharaResult(klass, star_label, merges)
 
 
 def domset_to_rtd(g: Graph, k: int) -> ReductionOutput:
@@ -196,42 +194,32 @@ def domset_to_rtd(g: Graph, k: int) -> ReductionOutput:
     p, q = gadget.p, gadget.q
     patterns = [c.bitstring() for c in gadget.klass.concepts]
 
-    points: list[DomainPoint] = []
+    point_labels: list[str] = []
     point_map: list[PointRef] = []
     for v in range(n):
         for z in range(p):
-            points.append(DomainPoint(len(points), f"(v{v + 1},z{z})"))
+            point_labels.append(f"(v{v + 1},z{z})")
             point_map.append(PointRef("VZ", v, z))
     for z in range(p):
         for v in range(n):
-            points.append(DomainPoint(len(points), f"(z{z},v{v + 1})"))
+            point_labels.append(f"(z{z},v{v + 1})")
             point_map.append(PointRef("ZV", v, z))
 
-    # Row slices follow the point order above: VZ v-major, then ZV z-major.
-    dom_row = [
-        tuple(1 if dominates(g, v, u) else 0 for v in range(n)) for u in range(n)
-    ]
-    concepts: list[Concept] = []
+    # Rows follow the point order above: VZ v-major, then ZV z-major.
+    rows: list[str] = []
     concept_map: list[tuple[str, ConceptRef]] = []
-    for pat, gc in zip(patterns, gadget.klass.concepts):
-        vz = tuple(gc.values[z] for v in range(n) for z in range(p))
-        zv = (1,) * (p * n)
-        label = f"h{pat}"
-        concepts.append(Concept(label, vz + zv))
-        concept_map.append((label, ConceptRef("constraint", None, pat)))
+    for pat in patterns:
+        rows.append(pat * n + "1" * (p * n))
+        concept_map.append((f"h{pat}", ConceptRef("constraint", None, pat)))
     for u in range(n):
-        vz = tuple(1 - dom_row[u][v] for v in range(n) for z in range(p))
-        for pat, gc in zip(patterns, gadget.klass.concepts):
-            zv = tuple(
-                1 if (gc.values[z] == 1 and v == u) else 0
-                for z in range(p)
-                for v in range(n)
-            )
-            label = f"{g.vertex_label(u)}.h{pat}"
-            concepts.append(Concept(label, vz + zv))
-            concept_map.append((label, ConceptRef("vertex", u, pat)))
+        # VZ: 0 at (v, z) iff v dominates u.  ZV: the pattern in u's column, 0 elsewhere.
+        vz = _undominated(g, u).translate({ord("0"): "0" * p, ord("1"): "1" * p})
+        column = {ord("0"): "0" * n, ord("1"): "0" * u + "1" + "0" * (n - u - 1)}
+        for pat in patterns:
+            rows.append(vz + pat.translate(column))
+            concept_map.append((f"{g.vertex_label(u)}.h{pat}", ConceptRef("vertex", u, pat)))
 
-    klass = ConceptClass(tuple(points), tuple(concepts))
+    klass = ConceptClass.from_rows(rows, [label for label, _ in concept_map], point_labels)
     if len(klass.concepts) != q * (n + 1) or klass.width != 2 * p * n:
         raise InvariantError(
             f"reduced class is {len(klass.concepts)} x {klass.width}, "
@@ -258,8 +246,8 @@ def witness_plan(out: ReductionOutput, dominating: Iterable[int]) -> TeachingPla
     if not out.graph.dominated_by(T):
         raise InvalidArgumentError(f"{[out.graph.vertex_label(v) for v in T]} does not dominate the graph")
     steps: list[tuple[str, tuple[int, ...]]] = []
-    gadget = out.gadget.klass.concepts
-    members = [(c.bitstring(), tuple(z for z, bit in enumerate(c.values) if bit)) for c in gadget]
+    patterns = map(Concept.bitstring, out.gadget.klass.concepts)
+    members = [(pat, tuple(z for z, bit in enumerate(pat) if bit == "1")) for pat in patterns]
     for pat, sup in members:
         pairs = nu_pairing(T, sup)
         steps.append(
@@ -313,7 +301,7 @@ def extract_domset(
                 f"teaching set touches the ZV block at index {i}, "
                 "contradicting the construction's soundness argument"
             )
-        if concept.values[i] != 1:
+        if not concept.mask() >> i & 1:
             raise SoundnessViolationError(
                 f"teaching set shows a zero of {label!r} at index {i}"
             )

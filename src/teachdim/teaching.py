@@ -232,8 +232,8 @@ def rtd_oracle_subsets(klass: ConceptClass, *, cap: int = DEFAULT_SUBSET_ORACLE_
     full = n_sub - 1
     goal = (1 << n_sub) - 2  # every nonempty subclass
     # One-point agreement masks per concept; constant and repeated columns drop out.
-    rows = [c.values for c in klass.concepts]
-    columns = {sum(v << o for o, v in enumerate(col)) for col in zip(*rows)}
+    rows = [c.bitstring() for c in klass.concepts]
+    columns = {int("".join(col)[::-1], 2) for col in zip(*rows)}
     singles = [{col if col >> c & 1 else full ^ col for col in columns} - {full} for c in range(m)]
     # level[c]: the values agree(c, T) first reached at |T| = t; seen[c]: all so far.
     level = [{full} for _ in range(m)]

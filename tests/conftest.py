@@ -16,11 +16,20 @@ from math import comb
 import pytest
 
 from teachdim import (
+    Concept,
     ConceptClass,
+    ConceptRef,
+    DomainPoint,
     GadgetReport,
     Graph,
+    InvalidArgumentError,
+    InvariantError,
     ObservationReport,
+    PointRef,
+    ReductionOutput,
+    ShinoharaResult,
     build_gadget,
+    dominates,
     is_teaching_set,
     min_teaching_set,
     ones_extension,
@@ -216,3 +225,98 @@ def ref_verify_gadget(g):
                 counter = (3, c.label, ts.witness)
             break
     return GadgetReport(p1, p2, p3, counter)
+
+
+def ref_shinohara_reduce(g):
+    """`shinohara_reduce` as it built its rows as tuples of ints, value by value."""
+    if g.n == 0:
+        raise InvalidArgumentError("reduction needs a nonempty graph")
+    rows: dict[tuple[int, ...], list[int]] = {}
+    order: list[tuple[int, ...]] = []
+    for u in range(g.n):
+        row = tuple(0 if dominates(g, v, u) else 1 for v in range(g.n))
+        # u dominates itself, so no vertex row can be all-one.
+        if row[u] != 0:
+            raise InvariantError(f"vertex {g.vertex_label(u)} does not dominate itself")
+        if row not in rows:
+            rows[row] = []
+            order.append(row)
+        rows[row].append(u)
+    star = (1,) * g.n
+    if star in rows:
+        raise InvariantError("a vertex row is all-one")
+    domain = tuple(DomainPoint(i, g.vertex_label(i)) for i in range(g.n))
+    concepts = []
+    merges = []
+    for row in order:
+        members = rows[row]
+        kept = f"c_{g.vertex_label(members[0])}"
+        concepts.append(Concept(kept, row))
+        if len(members) > 1:
+            merges.append((kept, tuple(g.vertex_label(u) for u in members)))
+    star_label = "ones"
+    concepts.append(Concept(star_label, star))
+    return ShinoharaResult(
+        ConceptClass(domain, tuple(concepts)), star_label, tuple(merges)
+    )
+
+
+def ref_domset_to_rtd(g, k):
+    """`domset_to_rtd` as it built its rows as tuples of ints, value by value.
+
+    `domset_to_rtd` now writes each row as a bitstring; its class and
+    sidecar bytes must equal this build's on every graph.
+    """
+    n = g.n
+    if n < 2:
+        raise InvalidArgumentError("reduction requires at least 2 vertices")
+    if not (1 <= k <= n):
+        raise InvalidArgumentError(f"k must lie in 1..{n}, got {k}")
+    gadget = build_gadget(k)
+    p, q = gadget.p, gadget.q
+    patterns = [c.bitstring() for c in gadget.klass.concepts]
+
+    points: list[DomainPoint] = []
+    point_map: list[PointRef] = []
+    for v in range(n):
+        for z in range(p):
+            points.append(DomainPoint(len(points), f"(v{v + 1},z{z})"))
+            point_map.append(PointRef("VZ", v, z))
+    for z in range(p):
+        for v in range(n):
+            points.append(DomainPoint(len(points), f"(z{z},v{v + 1})"))
+            point_map.append(PointRef("ZV", v, z))
+
+    # Row slices follow the point order above: VZ v-major, then ZV z-major.
+    dom_row = [
+        tuple(1 if dominates(g, v, u) else 0 for v in range(n)) for u in range(n)
+    ]
+    concepts: list[Concept] = []
+    concept_map: list[tuple[str, ConceptRef]] = []
+    for pat, gc in zip(patterns, gadget.klass.concepts):
+        vz = tuple(gc.values[z] for v in range(n) for z in range(p))
+        zv = (1,) * (p * n)
+        label = f"h{pat}"
+        concepts.append(Concept(label, vz + zv))
+        concept_map.append((label, ConceptRef("constraint", None, pat)))
+    for u in range(n):
+        vz = tuple(1 - dom_row[u][v] for v in range(n) for z in range(p))
+        for pat, gc in zip(patterns, gadget.klass.concepts):
+            zv = tuple(
+                1 if (gc.values[z] == 1 and v == u) else 0
+                for z in range(p)
+                for v in range(n)
+            )
+            label = f"{g.vertex_label(u)}.h{pat}"
+            concepts.append(Concept(label, vz + zv))
+            concept_map.append((label, ConceptRef("vertex", u, pat)))
+
+    klass = ConceptClass(tuple(points), tuple(concepts))
+    if len(klass.concepts) != q * (n + 1) or klass.width != 2 * p * n:
+        raise InvariantError(
+            f"reduced class is {len(klass.concepts)} x {klass.width}, "
+            f"expected {q * (n + 1)} x {2 * p * n}"
+        )
+    return ReductionOutput(
+        klass, g, k, p, q, tuple(point_map), tuple(concept_map), gadget
+    )

@@ -146,6 +146,56 @@ def test_wide_classes_supported():
     assert parse_class(serialize_class(klass)) == klass
 
 
+def test_bool_and_float_bits_round_trip():
+    # Values equal to 0 or 1 are stored as those bits, so the text, the
+    # default labels and the parsed class all read them as 0 and 1.
+    klass = ConceptClass.from_rows([(True, False), (False, True)], labels=["a", "b"])
+    text = serialize_class(klass)
+    assert "a 10" in text.splitlines()
+    assert parse_class(text) == klass
+    assert ConceptClass.from_rows([(True, False), (1.0, 1)]).labels() == ("10", "11")
+    assert Concept("c", (1.0, False)).values == (1, 0)
+
+
+@pytest.mark.parametrize("bad", [2, "1", None, -1, 0.5])
+def test_non_bit_values_rejected(bad):
+    with pytest.raises(InvalidArgumentError):
+        Concept("c", (bad, 0))
+    with pytest.raises(InvalidArgumentError):
+        ConceptClass.from_rows([(1, 0), (bad, 0)])
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_every_way_to_build_a_concept_agrees(data):
+    # Widths up to 70, so rows above 64 points span more than one machine word.
+    width = data.draw(st.integers(0, 70))
+    masks = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=1,
+                               max_size=min(4, 2**width), unique=True))
+    labels = [f"c{i}" for i in range(len(masks))]
+    rows = [tuple(m >> i & 1 for i in range(width)) for m in masks]
+    bits = ["".join(str(v) for v in row) for row in rows]
+    # The same rows with each value written as an int, a bool or a float.
+    kinds = data.draw(st.lists(st.sampled_from([int, bool, float]), min_size=width, max_size=width))
+    mixed = [tuple(kind(v) for kind, v in zip(kinds, row)) for row in rows]
+    direct = [Concept(label, row) for label, row in zip(labels, mixed)]
+    routes = [
+        direct,
+        ConceptClass.from_rows(bits, labels).concepts,
+        ConceptClass.from_rows(mixed, labels).concepts,
+        parse_class(serialize_class(ConceptClass.from_rows(rows, labels))).concepts,
+    ]
+    points = data.draw(st.sets(st.integers(0, width - 1))) if width else set()
+    for concepts in routes:
+        assert list(concepts) == direct
+        for c, d, m, row, b in zip(concepts, direct, masks, rows, bits):
+            assert hash(c) == hash(d)
+            assert c.values == row and all(type(v) is int for v in c.values)
+            assert c.bitstring() == b
+            assert c.mask() == m
+            assert restrict(c, points) == {i: row[i] for i in points}
+
+
 # -- check_plan ------------------------------------------------------------------
 
 

@@ -23,11 +23,18 @@ from teachdim import (
     nu_pairing,
     rtd,
     rtd_decision,
+    serialize_class,
     shinohara_metadata_json,
     shinohara_reduce,
     witness_plan,
 )
-from conftest import all_labeled_graphs, bf_min_domset, ref_check_observations
+from conftest import (
+    all_labeled_graphs,
+    bf_min_domset,
+    ref_check_observations,
+    ref_domset_to_rtd,
+    ref_shinohara_reduce,
+)
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 EMPTY2 = Graph.from_edges(2, [])
@@ -446,3 +453,25 @@ def test_shinohara_metadata():
     assert doc["kind"] == "shinohara"
     assert doc["star"] == "ones"
     assert doc["merged"] == [{"kept": "c_v1", "vertices": ["v1", "v2"]}]
+
+
+def test_bitstring_build_equals_the_tuple_reference():
+    # Seeded graphs on 2..8 vertices, each also with one vertex pair's edge
+    # bit flipped: both reductions must write the same bytes as the builds
+    # that made their rows value by value.
+    rng = random.Random(6)
+    for n in range(2, 9):
+        for seed in range(3):
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = {e for e in pairs if rng.random() < 0.4}
+            flipped = edges ^ {rng.choice(pairs)}
+            for g in (Graph.from_edges(n, edges), Graph.from_edges(n, flipped)):
+                res, ref = shinohara_reduce(g), ref_shinohara_reduce(g)
+                assert serialize_class(res.klass) == serialize_class(ref.klass)
+                assert shinohara_metadata_json(res, g) == shinohara_metadata_json(ref, g)
+                assert res == ref
+                for k in range(1, min(3, n) + 1):
+                    out, ref = domset_to_rtd(g, k), ref_domset_to_rtd(g, k)
+                    assert serialize_class(out.klass) == serialize_class(ref.klass), (n, seed, k)
+                    assert metadata_json(out) == metadata_json(ref)
+                    assert out == ref

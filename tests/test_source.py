@@ -21,6 +21,24 @@ def test_package_has_no_bare_assert():
     assert found == []
 
 
+def test_only_model_reads_concept_values():
+    # The form of a row is model.py's business: elsewhere a concept is read
+    # through `mask()`, `row_mask` or `bitstring()`, never through `.values`.
+    # A `.values()` call reads a mapping, not a concept, so it is allowed.
+    found = []
+    for path in SOURCES:
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "values" and id(node) not in called
+        ]
+    assert found == []
+
+
 def test_subset_oracle_shares_nothing_with_the_kernel():
     # The oracle cross-checks `rtd`, so it may call no function of teaching.py:
     # none of the kernel's, and none that could reach it.
