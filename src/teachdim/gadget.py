@@ -10,13 +10,11 @@ teaching-set size past k.  `verify_gadget` checks all three exhaustively.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
 from .errors import InvalidArgumentError, InvariantError
-from .model import Concept, ConceptClass
-from .teaching import min_teaching_set
+from .model import Concept, ConceptClass, _taught
 
 DEFAULT_K_CAP = 6  # C(13, 6) = 1716 concepts at the cap
 
@@ -86,41 +84,43 @@ def verify_gadget(g: Gadget) -> GadgetReport:
 
     Property 1: every member's minimum teaching set has size exactly k.
     Property 2: every k-point teaching set of a member restricts it to ones.
-    Property 3: with the all-one vector added, every member needs > k points.
+    Property 3: with the all-one vector added, every member needs > k points;
+    a class that already holds that vector is its own extension.
+
+    One sweep over point sets, by size and then lexicographically, decides
+    all three without the solver; it goes past size k only until every
+    member has a teaching set.  A member's first teaching set is its lex-min
+    minimum one.  Beside the all-one row, a set still teaches a member iff it
+    teaches it and shows a zero, or the member is that row.
     """
     k = g.k
     klass = g.klass
-    p1 = p2 = p3 = True
-    counter: tuple[int, str, tuple[int, ...]] | None = None
-    for c in klass.concepts:
-        ts = min_teaching_set(c, klass)
-        if ts.size != k:
-            p1 = False
-            if counter is None:
-                counter = (1, c.label, ts.witness)
-            break
-    # S teaches c iff no other row shares c's projection row & S, so count
-    # each projection once per set; c has a zero on S iff c & S != S.
     rows = list(map(klass.row_mask, range(len(klass.concepts))))
-    first: dict[int, tuple[int, ...]] = {}  # concept index -> its first failing set
-    for points in itertools.combinations(range(klass.width), k):
-        s = sum(1 << i for i in points)
-        lone = {v for v, n in Counter(r & s for r in rows).items() if n == 1 and v != s}
-        if lone:
-            for ci, r in enumerate(rows):
-                if r & s in lone:
-                    first.setdefault(ci, points)
-    if first:
-        p2 = False
-        ci = min(first)
-        if counter is None:
-            counter = (2, klass.concepts[ci].label, first[ci])
-    extended = ones_extension(klass)
-    for c in klass.concepts:
-        ts = min_teaching_set(c, extended)
-        if ts.size < k + 1:
-            p3 = False
-            if counter is None:
-                counter = (3, c.label, ts.witness)
+    bits = [1 << i for i in range(klass.width)]
+    ones = sum(bits)
+    # Each maps a member index to the mask of its first set that teaches it: at
+    # any size, at size k showing a zero, at size <= k beside the all-one row.
+    first: dict[int, int] = {}
+    shows_zero: dict[int, int] = {}
+    beside_ones: dict[int, int] = {}
+    size = 0
+    while size <= min(k, klass.width) or len(first) < len(rows):
+        sets = list(map(sum, itertools.combinations(bits, size)))
+        for s, taught in zip(sets, _taught(rows, sets)):
+            for ci in itertools.compress(range(len(rows)), taught):
+                first.setdefault(ci, s)
+                zero = rows[ci] & s != s
+                if size <= k and (zero or rows[ci] == ones):
+                    beside_ones.setdefault(ci, s)
+                if size == k and zero:
+                    shows_zero.setdefault(ci, s)
+        size += 1
+    wrong_size = {ci: s for ci, s in first.items() if s.bit_count() != k}
+    counter: tuple[int, str, tuple[int, ...]] | None = None
+    for prop, failed in enumerate((wrong_size, shows_zero, beside_ones), start=1):
+        if failed:
+            ci = min(failed)
+            points = tuple(i for i in range(klass.width) if failed[ci] >> i & 1)
+            counter = (prop, klass.concepts[ci].label, points)
             break
-    return GadgetReport(p1, p2, p3, counter)
+    return GadgetReport(not wrong_size, not shows_zero, not beside_ones, counter)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InvalidArgumentError, ParseError
-from .model import _meaningful_lines
+from .model import _header
 
 
 @dataclass(frozen=True)
@@ -106,28 +106,15 @@ def gen_random_graph(n: int, edge_probability: float, seed: int) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-# Text format: "<n> <m>" then m lines "<u> <v>" with 0-based endpoints;
-# '#' comments and blank lines allowed; serialization sorts the edge list.
+# Text format: "<n> <m>" then m lines "<u> <v>" with 0-based endpoints, each edge
+# once; '#' comments and blank lines allowed; serialization sorts the edge list.
 
 
 def parse_graph(text: str) -> Graph:
-    lines = _meaningful_lines(text)
-    if not lines:
-        raise ParseError("empty input, expected '<n> <m>' header")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError("header must be '<n> <m>'", lineno)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("header counts must be integers", lineno) from None
-    if n < 0 or m < 0:
-        raise ParseError("header counts must be non-negative", lineno)
-    body_lines = lines[1:]
+    lineno, n, m, body_lines = _header(text, "'<n> <m>'")
     if len(body_lines) != m:
         raise ParseError(f"expected {m} edge lines, found {len(body_lines)}", lineno)
-    edges = []
+    edges: dict[tuple[int, int], int] = {}  # each edge, smaller end first, to its line
     for lineno, body in body_lines:
         toks = body.split()
         if len(toks) != 2:
@@ -140,7 +127,10 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"self-loop at vertex {u}", lineno)
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge ({u}, {v}) outside vertex range", lineno)
-        edges.append((u, v))
+        e = (min(u, v), max(u, v))
+        if e in edges:
+            raise ParseError(f"duplicate edge ({u}, {v}) (first on line {edges[e]})", lineno)
+        edges[e] = lineno
     return Graph.from_edges(n, edges)
 
 

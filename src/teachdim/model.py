@@ -12,8 +12,9 @@ threads; all operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     InvalidArgumentError,
@@ -246,6 +247,14 @@ def _first_agreeing(
     )
 
 
+def _taught(rows: Sequence[int], sets: Iterable[int]) -> Iterator[list[bool]]:
+    """For each point mask s, which of `rows` s teaches: those no other row equals on s."""
+    for s in sets:
+        projs = [row & s for row in rows]
+        seen = Counter(projs)
+        yield [seen[proj] == 1 for proj in projs]
+
+
 def is_teaching_set(c: Concept, klass: ConceptClass, points: Iterable[int]) -> bool:
     """True iff every other concept of the class disagrees with `c` somewhere on `points`."""
     ci = klass.member_index(c)
@@ -309,22 +318,27 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_class(text: str) -> ConceptClass:
-    """Parse the class text format; raises ParseError with a line number."""
+def _header(text: str, form: str) -> tuple[int, int, int, list[tuple[int, str]]]:
+    """The header's line number and two non-negative counts, and the meaningful lines after it."""
     lines = _meaningful_lines(text)
     if not lines:
-        raise ParseError("empty input, expected '<numConcepts> <numPoints>' header")
+        raise ParseError(f"empty input, expected {form} header")
     lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2:
-        raise ParseError("header must be '<numConcepts> <numPoints>'", lineno)
+        raise ParseError(f"header must be {form}", lineno)
     try:
-        n_concepts, n_points = int(parts[0]), int(parts[1])
+        counts = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError("header counts must be integers", lineno) from None
-    if n_concepts < 0 or n_points < 0:
+    if min(counts) < 0:
         raise ParseError("header counts must be non-negative", lineno)
-    rest = lines[1:]
+    return lineno, *counts, lines[1:]
+
+
+def parse_class(text: str) -> ConceptClass:
+    """Parse the class text format; raises ParseError with a line number."""
+    _, n_concepts, n_points, rest = _header(text, "'<numConcepts> <numPoints>'")
     point_labels = [f"x{i}" for i in range(n_points)]
     if rest and rest[0][1].split()[0] == "labels:":
         lineno, body = rest[0]

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
@@ -34,7 +33,7 @@ from typing import Iterable, Sequence
 from .errors import InvalidArgumentError, InvariantError, SoundnessViolationError
 from .gadget import Gadget, build_gadget
 from .graph import Graph
-from .model import Concept, ConceptClass, TeachingPlan, is_teaching_set
+from .model import Concept, ConceptClass, TeachingPlan, _taught, is_teaching_set
 
 
 @dataclass(frozen=True)
@@ -395,23 +394,19 @@ def check_observations(
         # Built from the last set to the first, so each key keeps its first index.
         first = dict(zip(map(keymask.__and__, reversed(set_masks)), range(n_sets - 1, -1, -1)))
         gis = [pattern_index[out.concept_map[ci][1].pattern] for ci in family]
-        rhs_of: dict[int, list[bool]] = {}
-        for key, idx in first.items():
-            # S teaches a member iff no other member agrees with it on S.
-            projs = [row & key for row in rows]
-            seen = Counter(projs)
-            lhs = [seen[proj] == 1 for proj in projs]
+        zmasks = []
+        for key in first:
             zmask = 0
             rest = key & sel
             while rest:
                 low = rest & -rest
                 zmask |= zbit[low.bit_length() - 1]
                 rest ^= low
-            rhs = rhs_of.get(zmask)
-            if rhs is None:
-                gprojs = [gm & zmask for gm in gmasks]
-                gseen = Counter(gprojs)
-                rhs = rhs_of[zmask] = [gseen[gprojs[gi]] == 1 for gi in gis]
+            zmasks.append(zmask)
+        zs = list(dict.fromkeys(zmasks))
+        rhs_of = {z: [taught[gi] for gi in gis] for z, taught in zip(zs, _taught(gmasks, zs))}
+        for idx, lhs, zmask in zip(first.values(), _taught(rows, first), zmasks):
+            rhs = rhs_of[zmask]
             if lhs != rhs:
                 for ci, left, right in zip(family, lhs, rhs):
                     if left != right and idx < first_fail.get(ci, n_sets):

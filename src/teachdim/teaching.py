@@ -211,6 +211,8 @@ def rtd_oracle_subsets(klass: ConceptClass, *, cap: int = DEFAULT_SUBSET_ORACLE_
     |C| * 2^|C| bit operations, plus one step per pair of an agreement mask
     and a distinct column.  The enumeration is refused above `cap` concepts.
     """
+    if cap < 0:
+        raise InvalidArgumentError(f"cap must be >= 0, got {cap}")
     m = len(klass.concepts)
     if m > cap:
         raise CapacityError(

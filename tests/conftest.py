@@ -110,6 +110,32 @@ def bf_min_domset(g: Graph) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("V always dominates")
 
 
+def bf_verify_gadget(g) -> GadgetReport:
+    """The three gadget properties straight from their definitions, on raw rows.
+
+    The all-one row is added to the rows as to a set, so a class that holds
+    it is its own extension.
+    """
+    k, width = g.k, g.klass.width
+    rows = [c.values for c in g.klass.concepts]
+    labels = g.klass.labels()
+    extended = rows if (1,) * width in rows else rows + [(1,) * width]
+    fails = {}
+    for i in range(len(rows)):
+        size, points = bf_min_ts(rows, i)
+        if size != k:
+            fails.setdefault(1, (1, labels[i], points))
+        for points in itertools.combinations(range(width), k):
+            if bf_is_teaching_set(rows, i, points) and 0 in [rows[i][x] for x in points]:
+                fails.setdefault(2, (2, labels[i], points))
+                break
+        size, points = bf_min_ts(extended, i)
+        if size <= k:
+            fails.setdefault(3, (3, labels[i], points))
+    first = fails[min(fails)] if fails else None
+    return GadgetReport(1 not in fails, 2 not in fails, 3 not in fails, first)
+
+
 def ref_check_observations(out, *, max_size=None, max_sets=250_000, seed=0):
     """The observation replay pair by pair, straight from its statement.
 

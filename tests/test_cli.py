@@ -97,6 +97,13 @@ def test_rtd_oracle_cap_exit_3(workdir, capsys):
     assert "cap" in err
 
 
+def test_rtd_oracle_negative_cap_exit_2(workdir, capsys):
+    code, out, err = run(capsys, "rtd-oracle", "pointclass.txt", "--cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cap must be >= 0, got -1\n"
+
+
 def test_rtd_oracle_ok(workdir, capsys):
     code, out, _ = run(capsys, "rtd-oracle", "pointclass.txt")
     assert code == 0

@@ -7,6 +7,7 @@ import pytest
 from teachdim import (
     ConceptClass,
     Gadget,
+    GadgetReport,
     InvalidArgumentError,
     build_gadget,
     is_teaching_set,
@@ -19,7 +20,7 @@ from teachdim import (
     td_min,
     verify_gadget,
 )
-from conftest import bf_min_ts, ref_verify_gadget
+from conftest import bf_min_ts, bf_verify_gadget, ref_verify_gadget
 
 
 def drop_concepts(g: Gadget, *labels: str) -> Gadget:
@@ -152,3 +153,86 @@ def test_verify_matches_the_triple_loop_on_flipped_bits():
         assert report == ref_verify_gadget(damaged)
         first.add(report.counterexample and report.counterexample[0])
     assert first == {None, 1, 2}
+
+
+# -- the sweep over point sets ---------------------------------------------------------
+
+
+def damaged_gadgets(seed: int, cases: int, ks: tuple[int, ...]):
+    """Built gadgets with up to three bits flipped and up to three members dropped.
+
+    Cases whose rows are no longer distinct are skipped; one member always stays.
+    """
+    rng = random.Random(seed)
+    for case in range(cases):
+        g = build_gadget(ks[case % len(ks)])
+        rows = [list(c.values) for c in g.klass.concepts]
+        for _ in range(rng.randint(0, 3)):
+            rows[rng.randrange(len(rows))][rng.randrange(g.p)] ^= 1
+        for _ in range(rng.randint(0, min(3, len(rows) - 1))):
+            rows.pop(rng.randrange(len(rows)))
+        if len(set(map(tuple, rows))) == len(rows):
+            yield Gadget(g.k, g.p, len(rows), ConceptClass.from_rows(rows))
+
+
+@pytest.mark.parametrize(
+    "k, rows",
+    [
+        (1, ["110", "100", "010"]),  # 110 needs k+1 points, so the sweep goes past k
+        # Property 2 fails although every member's first zero-showing teaching set has one point.
+        (2, ["00110", "00101", "00011"]),
+        (1, ["100"]),
+    ],
+)
+def test_sweep_matches_the_triple_loop_on_edge_cases(k, rows):
+    g = Gadget(k, len(rows[0]), len(rows), ConceptClass.from_rows(rows))
+    assert verify_gadget(g) == ref_verify_gadget(g)
+
+
+def test_sweep_matches_the_triple_loop_for_k_1_to_4():
+    # The reference cannot add the all-one row to a class that holds it.
+    gadgets = [
+        d for d in damaged_gadgets(77, 36, (1, 2, 3, 4))
+        if (1,) * d.p not in [c.values for c in d.klass.concepts]
+    ]
+    assert {d.k for d in gadgets} == {1, 2, 3, 4}
+    assert {verify_gadget(d).counterexample is None for d in gadgets} == {True, False}
+    for d in gadgets:
+        assert verify_gadget(d) == ref_verify_gadget(d)
+
+
+@pytest.mark.parametrize("labels", [None, ["a", "b", "c"]])
+def test_a_class_holding_the_all_one_row_is_its_own_extension(labels):
+    # The class with the all-one row added is the class itself when it holds that row.
+    g = Gadget(1, 3, 3, ConceptClass.from_rows(["111", "010", "001"], labels=labels))
+    assert verify_gadget(g) == GadgetReport(True, False, False, (2, labels[1] if labels else "010", (2,)))
+    assert verify_gadget(g) == bf_verify_gadget(g)
+
+
+@pytest.mark.parametrize(
+    "k, rows, counterexample",
+    [
+        (0, ["1"], (3, "1", ())),  # the empty set teaches the all-one member
+        (1, ["000", "001", "010", "111"], (1, "000", (1, 2))),  # only 111 breaks property 3
+    ],
+)
+def test_the_all_one_member_can_break_property_3(k, rows, counterexample):
+    g = Gadget(k, len(rows[0]), len(rows), ConceptClass.from_rows(rows))
+    report = verify_gadget(g)
+    assert not report.property3 and report.counterexample == counterexample
+    assert report == bf_verify_gadget(g)
+
+
+def test_sweep_matches_the_definitions_with_the_all_one_row():
+    # Damaged gadgets 1..3 with the all-one row inserted at a random place.
+    rng = random.Random(5)
+    seen = set()
+    for d in damaged_gadgets(6, 30, (1, 2, 3)):
+        rows = [c.values for c in d.klass.concepts]
+        if (1,) * d.p not in rows:
+            rows.insert(rng.randrange(len(rows) + 1), (1,) * d.p)
+        g = Gadget(d.k, d.p, len(rows), ConceptClass.from_rows(rows))
+        report = verify_gadget(g)
+        assert report == bf_verify_gadget(g)
+        seen.add(report.counterexample and report.counterexample[0])
+    assert seen == {1, 2}

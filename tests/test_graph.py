@@ -187,3 +187,13 @@ def test_dominated_by_rejects_out_of_range(bad):
         K3.dominated_by([0, 1, bad])
     with pytest.raises(InvalidArgumentError):
         Graph(0, frozenset()).dominated_by([bad])
+
+
+@pytest.mark.parametrize("second", ["0 1", "1 0"])
+def test_graph_parse_rejects_a_repeated_edge(second):
+    # A repeated edge would leave fewer edges than the header counts.
+    with pytest.raises(ParseError) as ei:
+        parse_graph(f"3 2\n0 1\n# again\n{second}\n")
+    assert ei.value.line == 4
+    assert str(ei.value) == f"line 4: duplicate edge ({second.replace(' ', ', ')}) (first on line 2)"
+    assert Graph.from_edges(3, [(0, 1), (1, 0)]).edges == frozenset({(0, 1)})

@@ -15,6 +15,7 @@ from teachdim import (
     check_plan,
     is_teaching_set,
     parse_class,
+    parse_graph,
     parse_plan,
     restrict,
     serialize_class,
@@ -345,3 +346,22 @@ def test_parse_errors_name_the_line(text, line):
     with pytest.raises(ParseError) as ei:
         parse_class(text)
     assert ei.value.line == line
+
+
+@pytest.mark.parametrize(
+    "parse, form",
+    [(parse_class, "'<numConcepts> <numPoints>'"), (parse_graph, "'<n> <m>'")],
+)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# none\n", "empty input, expected {form} header"),
+        ("\n3\n", "line 2: header must be {form}"),
+        ("3 x\n", "line 1: header counts must be integers"),
+        ("0 -1\n", "line 1: header counts must be non-negative"),
+    ],
+)
+def test_class_and_graph_headers_fail_alike(parse, form, text, message):
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert str(ei.value) == message.format(form=form)

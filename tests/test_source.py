@@ -65,3 +65,18 @@ def test_cli_writes_files_only_through_write():
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and name(node.func) in writes]
     assert any(id(node) in inside for node in calls)
     assert [node.lineno for node in calls if id(node) not in inside] == []
+
+
+def test_gadget_check_calls_no_solver():
+    # `verify_gadget` cross-checks the solver's answers on the gadget, so
+    # gadget.py may import nothing from teaching.py.
+    path = Path(teachdim.__file__).parent / "gadget.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []  # "<module>.<name>" for each from-import, the module for each import
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert "model._taught" in imported
+    assert [name for name in imported if "teaching" in name.split(".")] == []

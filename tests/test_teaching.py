@@ -352,3 +352,8 @@ def test_oracle_agrees_with_rtd(seed):
     rng = random.Random(seed)
     klass = random_class(rng, max_concepts=8, max_points=6)
     assert rtd(klass).value == rtd_oracle_subsets(klass)
+
+
+def test_oracle_rejects_a_negative_cap():
+    with pytest.raises(InvalidArgumentError, match="cap must be >= 0, got -1"):
+        rtd_oracle_subsets(make_class(["10", "01"]), cap=-1)
