@@ -74,7 +74,12 @@ def build_gadget(k: int, *, cap: int = DEFAULT_K_CAP) -> Gadget:
 
 
 def ones_extension(klass: ConceptClass) -> ConceptClass:
-    """The class with the all-one concept appended, labelled by its bitstring."""
+    """The class with the all-one concept appended, labelled by its bitstring.
+
+    A class that already holds the all-one row is its own extension.
+    """
+    if (1 << klass.width) - 1 in map(klass.row_mask, range(len(klass.concepts))):
+        return klass
     ones = Concept("1" * klass.width if klass.width else "ones", (1,) * klass.width)
     return ConceptClass(klass.domain, klass.concepts + (ones,))
 

@@ -1,13 +1,12 @@
 """Exact algorithms for teaching sets, TD, TD_min and the recursive teaching dimension.
 
-The workhorse view: a point set S is a teaching set for concept c exactly
-when S hits, for every competing concept c', the set of points where c and
-c' differ.  All searches therefore precompute per-pair difference masks
-(ints, bit i = point i) and find small hitting sets with one kernel.  Every
-witness is the lexicographically smallest of the minimum-size teaching sets,
-and RTD is one stripping pass in class order that raises k only when a round
-strips nothing, so every result is reproducible.  The subset oracle at the
-end shares none of this, so it can check RTD independently.
+A point set S teaches concept c exactly when S hits, for every other concept
+c', the mask of points where c and c' differ (an int, bit i = point i), so
+every search runs one hitting-set kernel over those masks.  Every witness is
+the lexicographically least of the minimum-size teaching sets, and RTD is one
+stripping pass in class order that raises k only when a round strips
+nothing, so every result is reproducible.  The subset oracle at the end
+shares none of this, so it can check RTD independently.
 """
 
 from __future__ import annotations
@@ -15,7 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from itertools import takewhile
+from operator import or_
 from .errors import CapacityError, InvalidArgumentError, InvariantError
 from .model import Concept, ConceptClass, TeachingPlan
 
@@ -38,81 +38,98 @@ class RtdResult:
     plan: TeachingPlan
 
 
-def _packing(masks: list[int]) -> tuple[int, int]:
-    """Greedily packed pairwise-disjoint masks, each needing its own point: (count, union)."""
-    count = packed = 0
-    for m in masks:
-        if not m & packed:
-            count += 1
-            packed |= m
-    return count, packed
+def _packing(masks: list[int], chosen: int, allowed: int, r: int) -> tuple[int, int | None, int]:
+    """Greedily pack the unhit masks' live parts, pairwise disjoint, and stop past r.
 
-
-def _small_hitting_set(masks: list[int], r: int) -> int | None:
-    """Some set of at most r points hitting every mask, as a bitmask, or None.
-
-    A bounded search tree (Niedermeier 2006) that branches on each point of the
-    smallest mask, lowest first, off an explicit stack, so it never recurses.
+    A mask is unhit while it misses `chosen`, and its live part is its points in `allowed`.
+    Returns the count, as each packed part needs its own point, the first unhit live
+    part, None if there is none, and the packed union.
     """
-    stack = [(masks, r, 0)]
+    count = 0
+    first = None
+    taken = chosen  # a mask that misses chosen and the packed parts is unhit and packs
+    for m in masks:
+        if not m & taken:
+            live = m & allowed
+            if not count:
+                first = live
+            count += 1
+            if count > r:
+                break
+            taken |= live
+    return count, first, taken ^ chosen
+
+
+def _small_hitting_set(masks: list[int], r: int, chosen: int, allowed: int = -1) -> int | None:
+    """`chosen` plus at most r points of `allowed` that hit every mask, as a bitmask, or None.
+
+    A bounded search tree (Niedermeier 2006) that branches on each point of the first
+    unhit mask, lowest first, leaving its lower points out of later branches.  Its
+    nodes (chosen, allowed, r) sit on an explicit stack, and none copies the masks.
+    """
+    stack = [(chosen, allowed, r)]
     while stack:
-        masks, r, chosen = stack.pop()
-        if not masks:
+        chosen, allowed, r = stack.pop()
+        if r == 1:  # one AND pass: a point every unhit mask shares
+            common = allowed  # negative, as `allowed` is, until a mask is unhit
+            for m in masks:
+                if not m & chosen and not (common := common & m):
+                    break
+            else:
+                return chosen if common < 0 else chosen | common & -common
+            continue
+        count, d, _ = _packing(masks, chosen, allowed, r)
+        if d is None:
             return chosen
-        if r == 1 and (common := reduce(and_, masks)):
-            return chosen | common & -common
-        if r > 1 and _packing(masks)[0] <= r:
-            d = min(masks, key=int.bit_count)
+        if count <= r:
             for i in reversed(range(d.bit_length())):
-                if d >> i & 1:  # take point i, and leave out the points of d below it
-                    keep = ~(d & ((1 << i) - 1))
-                    child = [m & keep for m in masks if not m >> i & 1]
-                    stack.append((child, r - 1, chosen | 1 << i))
+                if d >> i & 1:
+                    stack.append((chosen | 1 << i, allowed & ~(d & ((1 << i) - 1)), r - 1))
     return None
 
 
-def _min_hitting_set(diffs: list[int], budget: int) -> tuple[list[int], int, int] | None:
+def _min_hitting_set(diffs: set[int], budget: int, lex: bool = True) -> tuple[int, tuple | int | None]:
     """Deepen from the packing bound to the least size of a set hitting every mask.
 
-    Returns the distinct masks sorted by size, that size and one such set as a
-    bitmask, or None above `budget`.
+    Returns that size and the lexicographically least such set as points, or
+    without `lex` some such set as a bitmask.  Above `budget` the set is None
+    and the size is the least one not ruled out: the packing count, or budget + 1.
     """
-    masks = sorted(set(diffs), key=int.bit_count)
-    size = _packing(masks)[0]
-    while size <= budget and (found := _small_hitting_set(masks, size)) is None:
+    masks = sorted(diffs, key=int.bit_count)
+    chosen = reduce(or_, takewhile(lambda m: not m & m - 1, masks), 0)  # one-point masks lead
+    size = _packing(masks, 0, -1, len(masks))[0]
+    while size <= budget and (found := _small_hitting_set(masks, size - chosen.bit_count(), chosen)) is None:
         size += 1
-    return None if size > budget else (masks, size, found)
-
-
-def _lex_min_hitting_set(diffs: list[int], budget: int) -> tuple[int, ...] | None:
-    """Smallest, then lexicographically least, set of bit positions hitting every mask.
-
-    Returns None above `budget`.  Masks must be nonzero: equal rows never get here.
-    """
-    if (hit := _min_hitting_set(diffs, budget)) is None:
-        return None
-    masks, size, found = hit
-    # Fix the least set point by point: the lowest q below found's lowest point
-    # after which size - 1 points above q still hit the masks q misses, else
-    # found's lowest point.  Only packed points fit if they need all `size`.
-    chosen = 0
-    while masks:
+    if size > budget or not lex:
+        return size, found if size <= budget else None
+    # Every hitting set holds the one-point masks.  Fix the others in order: the lowest
+    # q below found's lowest point after which left - 1 points above q hit the masks
+    # q misses, else that point.  Only packed points fit if the packing needs all `left`.
+    found ^= chosen
+    left = size - chosen.bit_count()
+    allowed = -1
+    while left:
+        count, _, packed = _packing(masks, chosen, allowed, left)
         p = (found & -found).bit_length() - 1
-        count, packed = _packing(masks)
-        fits = (packed if count == size else reduce(or_, masks)) & ((1 << p) - 1)
+        union = packed if count == left else reduce(or_, (m for m in masks if not m & chosen)) & allowed
+        fits = union & ((1 << p) - 1)
         while fits:
             q = (fits & -fits).bit_length() - 1
-            cut = [m & (-1 << q + 1) for m in masks if not m >> q & 1]
-            rest = _small_hitting_set(cut, size - 1)
+            rest = _small_hitting_set(masks, left - 1, chosen | 1 << q, -1 << q + 1)
             if rest is not None:
-                p, found = q, rest | 1 << q
+                p, found = q, rest ^ chosen
                 break
             fits &= fits - 1
         chosen |= 1 << p
         found ^= 1 << p
-        size -= 1
-        masks = [m & (-1 << p + 1) for m in masks if not m >> p & 1]
-    return tuple(i for i in range(chosen.bit_length()) if chosen >> i & 1)
+        left -= 1
+        allowed = -1 << p + 1
+    return size, tuple(i for i in range(chosen.bit_length()) if chosen >> i & 1)
+
+
+def _lex_min_hitting_set(diffs: list[int], budget: int) -> tuple[int, ...] | None:
+    """Smallest, then lexicographically least, set of bit positions hitting every mask; None above `budget`."""
+    return _min_hitting_set(set(diffs), budget)[1]
 
 
 def min_teaching_set(c: Concept, klass: ConceptClass) -> TsResult:
@@ -120,24 +137,16 @@ def min_teaching_set(c: Concept, klass: ConceptClass) -> TsResult:
 
     The witness is the lexicographically least of the minimum-size ones.
     """
-    witness = _teaching_search(klass, klass.member_index(c), _lex_min_hitting_set)
-    return TsResult(len(witness), witness)
-
-
-def _teaching_search(klass: ConceptClass, ci: int, search):
-    """`search` over the difference masks of concept ci, with the whole domain as budget."""
-    own = klass.row_mask(ci)
-    diffs = [klass.row_mask(j) ^ own for j in range(len(klass.concepts)) if j != ci]
-    if (found := search(diffs, klass.width)) is None:  # the whole domain separates distinct rows
-        raise InvariantError(f"no teaching set found for {klass.concepts[ci].label!r}")
-    return found
+    own = klass.row_mask(klass.member_index(c))
+    diffs = {klass.row_mask(j) ^ own for j in range(len(klass.concepts))} - {0}
+    return TsResult(*_min_hitting_set(diffs, klass.width))  # the whole domain hits every mask
 
 
 def _first_extreme(klass: ConceptClass, pick, what: str) -> tuple[int, str]:
     if not klass.concepts:
         raise InvalidArgumentError(f"{what} of an empty class is undefined")
-    # Sizes only: the lex-min witness search is skipped.
-    sizes = [_teaching_search(klass, ci, _min_hitting_set)[1] for ci in range(len(klass.concepts))]
+    rows = list(map(klass.row_mask, range(len(klass.concepts))))
+    sizes = [_min_hitting_set({m ^ own for m in rows} - {0}, klass.width, lex=False)[0] for own in rows]
     return pick(sizes), klass.concepts[sizes.index(pick(sizes))].label
 
 
@@ -170,22 +179,28 @@ def rtd_decision(
 def _strip_decision(
     klass: ConceptClass, k: int, top: int, rng: random.Random | None
 ) -> tuple[int, TeachingPlan | None]:
-    """Strip as rtd_decision does, but raise k up to `top` when a round strips nothing."""
-    masks = list(map(klass.row_mask, range(len(klass.concepts))))
-    remaining = list(range(len(masks)))
+    """Strip as rtd_decision does, but when a round strips nothing raise k, up to `top`,
+    to the least size its failed searches left open: no k in between strips anything.
+    """
+    rows = list(map(klass.row_mask, range(len(klass.concepts))))
+    remaining = list(range(len(rows)))
     steps: list[tuple[str, tuple[int, ...]]] = []
     while remaining:
         order = remaining if rng is None else rng.sample(remaining, len(remaining))
+        alive = [rows[j] for j in remaining]
+        bound = top
         for ci in order:
-            witness = _lex_min_hitting_set([masks[j] ^ masks[ci] for j in remaining if j != ci], k)
+            own = rows[ci]
+            size, witness = _min_hitting_set({m ^ own for m in alive} - {0}, k)
             if witness is not None:
                 steps.append((klass.concepts[ci].label, witness))
                 remaining.remove(ci)
                 break
+            bound = min(bound, size)
         else:
             if k == top:
                 return k, None
-            k += 1
+            k = bound
     return k, TeachingPlan(tuple(steps))
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import and_, or_
 
 import pytest
 
@@ -28,6 +29,7 @@ from teachdim import (
     PointRef,
     ReductionOutput,
     ShinoharaResult,
+    TeachingPlan,
     build_gadget,
     dominates,
     is_teaching_set,
@@ -346,3 +348,108 @@ def ref_domset_to_rtd(g, k):
     return ReductionOutput(
         klass, g, k, p, q, tuple(point_map), tuple(concept_map), gadget
     )
+
+
+# -- a hitting-set kernel that copies its masks at every node ---------------------
+# A literal reference for the kernel in `teaching.py`, which walks one
+# size-sorted mask list without copying it and raises k straight to the bound
+# a failed round proves: every value, witness and plan must equal these.
+
+
+def ref_packing(masks: list[int]) -> tuple[int, int]:
+    """Greedily packed pairwise-disjoint masks, each needing its own point: (count, union)."""
+    count = packed = 0
+    for m in masks:
+        if not m & packed:
+            count += 1
+            packed |= m
+    return count, packed
+
+
+def ref_small_hitting_set(masks: list[int], r: int) -> int | None:
+    """Some set of at most r points hitting every mask, as a bitmask, or None.
+
+    A bounded search tree (Niedermeier 2006) that branches on each point of the
+    smallest mask, lowest first, off an explicit stack, so it never recurses.
+    """
+    stack = [(masks, r, 0)]
+    while stack:
+        masks, r, chosen = stack.pop()
+        if not masks:
+            return chosen
+        if r == 1 and (common := reduce(and_, masks)):
+            return chosen | common & -common
+        if r > 1 and ref_packing(masks)[0] <= r:
+            d = min(masks, key=int.bit_count)
+            for i in reversed(range(d.bit_length())):
+                if d >> i & 1:  # take point i, and leave out the points of d below it
+                    keep = ~(d & ((1 << i) - 1))
+                    child = [m & keep for m in masks if not m >> i & 1]
+                    stack.append((child, r - 1, chosen | 1 << i))
+    return None
+
+
+def ref_min_hitting_set(diffs: list[int], budget: int) -> tuple[list[int], int, int] | None:
+    """Deepen from the packing bound to the least size of a set hitting every mask.
+
+    Returns the distinct masks sorted by size, that size and one such set as a
+    bitmask, or None above `budget`.
+    """
+    masks = sorted(set(diffs), key=int.bit_count)
+    size = ref_packing(masks)[0]
+    while size <= budget and (found := ref_small_hitting_set(masks, size)) is None:
+        size += 1
+    return None if size > budget else (masks, size, found)
+
+
+def ref_lex_min_hitting_set(diffs: list[int], budget: int) -> tuple[int, ...] | None:
+    """Smallest, then lexicographically least, set of bit positions hitting every mask.
+
+    Returns None above `budget`.  Masks must be nonzero: equal rows never get here.
+    """
+    if (hit := ref_min_hitting_set(diffs, budget)) is None:
+        return None
+    masks, size, found = hit
+    # Fix the least set point by point: the lowest q below found's lowest point
+    # after which size - 1 points above q still hit the masks q misses, else
+    # found's lowest point.  Only packed points fit if they need all `size`.
+    chosen = 0
+    while masks:
+        p = (found & -found).bit_length() - 1
+        count, packed = ref_packing(masks)
+        fits = (packed if count == size else reduce(or_, masks)) & ((1 << p) - 1)
+        while fits:
+            q = (fits & -fits).bit_length() - 1
+            cut = [m & (-1 << q + 1) for m in masks if not m >> q & 1]
+            rest = ref_small_hitting_set(cut, size - 1)
+            if rest is not None:
+                p, found = q, rest | 1 << q
+                break
+            fits &= fits - 1
+        chosen |= 1 << p
+        found ^= 1 << p
+        size -= 1
+        masks = [m & (-1 << p + 1) for m in masks if not m >> p & 1]
+    return tuple(i for i in range(chosen.bit_length()) if chosen >> i & 1)
+
+
+def ref_strip_decision(
+    klass: ConceptClass, k: int, top: int, rng: random.Random | None
+) -> tuple[int, TeachingPlan | None]:
+    """Strip as rtd_decision does, but raise k up to `top` when a round strips nothing."""
+    masks = list(map(klass.row_mask, range(len(klass.concepts))))
+    remaining = list(range(len(masks)))
+    steps: list[tuple[str, tuple[int, ...]]] = []
+    while remaining:
+        order = remaining if rng is None else rng.sample(remaining, len(remaining))
+        for ci in order:
+            witness = ref_lex_min_hitting_set([masks[j] ^ masks[ci] for j in remaining if j != ci], k)
+            if witness is not None:
+                steps.append((klass.concepts[ci].label, witness))
+                remaining.remove(ci)
+                break
+        else:
+            if k == top:
+                return k, None
+            k += 1
+    return k, TeachingPlan(tuple(steps))

@@ -117,6 +117,12 @@ def test_ones_needs_exactly_k_plus_1(k):
     assert res.size == k + 1
 
 
+@pytest.mark.parametrize("labels", [None, ["a", "b", "c"]])
+def test_ones_extension_of_a_class_holding_the_all_one_row_is_the_class(labels):
+    klass = ConceptClass.from_rows(["111", "010", "001"], labels=labels)
+    assert ones_extension(klass) == klass
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_extension_floor_and_rtd(k):
     ext = ones_extension(build_gadget(k).klass)
@@ -236,3 +242,19 @@ def test_sweep_matches_the_definitions_with_the_all_one_row():
         assert report == bf_verify_gadget(g)
         seen.add(report.counterexample and report.counterexample[0])
     assert seen == {1, 2}
+
+
+def test_sweep_matches_the_triple_loop_with_the_all_one_row():
+    # Damaged gadgets 1..4 with the all-one row inserted at a random place,
+    # and those of gadgets 1 and 2 where flips made it; the reference now
+    # extends these classes by nothing.
+    rng = random.Random(5)
+    gadgets = []
+    for d in damaged_gadgets(77, 36, (1, 2, 3, 4)):
+        rows = [c.values for c in d.klass.concepts]
+        rows.insert(rng.randrange(len(rows) + 1), (1,) * d.p)
+        gadgets.append(Gadget(d.k, d.p, len(rows), ConceptClass.from_rows(rows)))
+    made = [d for d in damaged_gadgets(1, 100, (1, 2)) if (1,) * d.p in [c.values for c in d.klass.concepts]]
+    assert len(made) == 2
+    for g in gadgets + made:
+        assert verify_gadget(g) == ref_verify_gadget(g)

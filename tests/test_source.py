@@ -80,3 +80,23 @@ def test_gadget_check_calls_no_solver():
             imported += [alias.name for alias in node.names]
     assert "model._taught" in imported
     assert [name for name in imported if "teaching" in name.split(".")] == []
+
+
+def test_imports_stay_within_the_standard_set():
+    # Every import adds start-up time to each CLI call, and the package has no
+    # runtime dependencies, so a module may import only itself and these.
+    allowed = {
+        teachdim.__name__, "__future__", "argparse", "collections", "dataclasses", "functools",
+        "hashlib", "io", "itertools", "json", "math", "operator", "os", "pathlib", "random", "sys",
+        "time", "typing",
+    }
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                found += [f"{path.name}:{node.lineno} {node.module}"]
+            elif isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names]
+    assert found
+    assert [f for f in found if f.split()[1].split(".")[0] not in allowed] == []

@@ -10,9 +10,11 @@ from teachdim import (
     CapacityError,
     Concept,
     ConceptClass,
+    Graph,
     InvalidArgumentError,
     build_gadget,
     check_plan,
+    domset_to_rtd,
     min_teaching_set,
     ones_extension,
     rtd,
@@ -23,7 +25,16 @@ from teachdim import (
     teaching_dim,
 )
 from teachdim.teaching import _lex_min_hitting_set
-from conftest import bf_min_ts, bf_rtd, make_class, random_class
+from conftest import (
+    bf_min_domset,
+    bf_min_ts,
+    bf_rtd,
+    make_class,
+    random_class,
+    ref_lex_min_hitting_set,
+    ref_min_hitting_set,
+    ref_strip_decision,
+)
 
 
 def gadget_plus_ones(k: int, ones_first: bool = False) -> ConceptClass:
@@ -357,3 +368,59 @@ def test_oracle_agrees_with_rtd(seed):
 def test_oracle_rejects_a_negative_cap():
     with pytest.raises(InvalidArgumentError, match="cap must be >= 0, got -1"):
         rtd_oracle_subsets(make_class(["10", "01"]), cap=-1)
+
+
+# -- the kernel against the one it replaced -----------------------------------------
+
+
+def assert_answers_equal_the_reference_kernel(klass: ConceptClass) -> None:
+    """RTD, decisions, witnesses, TD and TD_min all equal the earlier kernel's."""
+    res = rtd(klass)
+    assert (res.value, res.plan) == ref_strip_decision(klass, 0, klass.width, None)
+    for k in range(4):
+        plan = ref_strip_decision(klass, k, k, None)[1]
+        assert rtd_decision(klass, k) == (plan is not None, plan)
+        plan = ref_strip_decision(klass, k, k, random.Random(k))[1]
+        assert rtd_decision(klass, k, rng=random.Random(k)) == (plan is not None, plan)
+    rows = [klass.row_mask(i) for i in range(len(klass.concepts))]
+    sizes = []
+    for ci, c in enumerate(klass.concepts):
+        diffs = [rows[j] ^ rows[ci] for j in range(len(rows)) if j != ci]
+        assert min_teaching_set(c, klass).witness == ref_lex_min_hitting_set(diffs, klass.width)
+        sizes.append(ref_min_hitting_set(diffs, klass.width)[1])
+    labels = klass.labels()
+    assert teaching_dim(klass) == (max(sizes), labels[sizes.index(max(sizes))])
+    assert td_min(klass) == (min(sizes), labels[sizes.index(min(sizes))])
+
+
+@st.composite
+def small_classes(draw):
+    """Up to 12 distinct concepts over up to 10 points."""
+    width = draw(st.integers(0, 10))
+    masks = draw(st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=12, unique=True))
+    return make_class([[m >> i & 1 for i in range(width)] for m in masks],
+                      labels=[f"c{i}" for i in range(len(masks))])
+
+
+@given(small_classes())
+@settings(max_examples=150, deadline=None)
+def test_kernel_equals_the_reference_kernel_on_small_classes(klass):
+    assert_answers_equal_the_reference_kernel(klass)
+
+
+def graph_with_domination_number(rng: random.Random, n: int, gamma: int) -> Graph:
+    while True:
+        p = rng.uniform(0.05, 0.7)
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        if bf_min_domset(g)[0] == gamma:
+            return g
+
+
+@pytest.mark.parametrize(
+    "k, n, yes",
+    [(2, n, yes) for n in range(4, 9) for yes in (True, False)] + [(3, 4, True), (3, 5, True)],
+)
+def test_kernel_equals_the_reference_kernel_on_reductions(k, n, yes):
+    # Tight instances: domination number exactly k (yes) or k + 1 (no).
+    g = graph_with_domination_number(random.Random(100 * k + n), n, k if yes else k + 1)
+    assert_answers_equal_the_reference_kernel(domset_to_rtd(g, k).klass)
