@@ -28,7 +28,7 @@ import json
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidArgumentError, InvariantError, SoundnessViolationError
 from .gadget import Gadget, build_gadget
@@ -339,12 +339,18 @@ def check_observations(
     rows, so every difference mask d of the family lies inside it and
     d & s == d & (s & support): the left side depends on s & support only.
     The z-projection reads only the concept's block `sel` (VZ, or the ZV
-    column u), so the right side depends on s & sel only.  Sets with equal
-    key s & (support | sel) thus get equal verdicts, and each distinct key
-    is decided once for every concept of the family.  A concept's first
-    failing set is the first set whose key fails.  Because `support` comes
-    from the rows, not from the intended layout, a tampered bit anywhere in
-    a family's rows enters its key and is still caught.
+    column u), so the right side depends on s & sel only.  Because `support`
+    comes from the rows, not from the intended layout, a tampered bit
+    anywhere in a family's rows enters its key s & (support | sel) and is
+    still caught.  Two key points with the same column over the family's
+    rows and the same z-bit (0 outside sel) split the rows alike and project
+    to the same z, so the verdicts depend only on which such classes a set
+    touches: each class set is decided once for every concept of the
+    family, on its classes' lowest points.  In exhaustive mode that set is
+    the first candidate touching exactly those classes (any other is, point
+    by point, at least as high), so its size-then-lex index gives
+    `sets_checked` and no candidate is listed; a sampled set maps to the
+    class set of its key.
     """
     if max_sets < 0:
         raise InvalidArgumentError(f"max_sets must be >= 0, got {max_sets}")
@@ -356,20 +362,15 @@ def check_observations(
     total = sum(comb(width, s) for s in range(limit + 1))
     exhaustive = total <= max_sets
     bits = [1 << i for i in range(width)]
-    # Candidate sets as point masks: by size, then lexicographically, or the
-    # empty set followed by the sample.  Sets are sorted and duplicate-free,
-    # so a mask gives its tuple back.
-    set_masks: list[int] = []
-    if exhaustive:
-        for s in range(limit + 1):
-            set_masks.extend(map(sum, itertools.combinations(bits, s)))
-    else:
+    n_sets = total if exhaustive else max_sets + 1
+    if not exhaustive:
+        # The empty set, then the sample, as point masks.  Sets are sorted and
+        # duplicate-free, so a mask gives its tuple back.
         rng = random.Random(seed)
-        set_masks.append(0)
+        set_masks = [0]
         for _ in range(max_sets):
             s = rng.randint(1, limit)
             set_masks.append(sum(bits[i] for i in rng.sample(range(width), s)))
-    n_sets = len(set_masks)
 
     gmasks = [c.mask() for c in out.gadget.klass.concepts]
     pattern_index = {c.bitstring(): i for i, c in enumerate(out.gadget.klass.concepts)}
@@ -380,7 +381,8 @@ def check_observations(
     for ci, (_, ref) in enumerate(out.concept_map):
         families.setdefault(ref.vertex, []).append(ci)
 
-    first_fail: dict[int, int] = {}
+    first_fail: dict[int, tuple[int, int]] = {}  # concept -> (index, mask) of its first failing set
+    gadget_taught: dict[int, list[bool]] = {}  # z-mask -> which gadget members it teaches
     for vertex, family in families.items():
         rows = [masks[cj] for cj in family]
         support = 0
@@ -391,34 +393,63 @@ def check_observations(
         else:
             sel = sum(1 << out.zv_index(z, vertex) for z in range(out.p))
         keymask = support | sel
-        # Built from the last set to the first, so each key keeps its first index.
-        first = dict(zip(map(keymask.__and__, reversed(set_masks)), range(n_sets - 1, -1, -1)))
+        # A key point's class is its column over the rows and its z-bit (0
+        # outside sel); `low` maps each key point to its class's lowest point.
+        low: dict[int, int] = {}
+        lowest: dict[tuple, int] = {}
+        for i in _points(keymask):
+            column = tuple(row >> i & 1 for row in rows)
+            low[i] = lowest.setdefault((column, zbit[i] if sel >> i & 1 else 0), bits[i])
+        # Each class set, as the mask of its classes' lowest points, maps to
+        # (index, mask) of the first candidate set that touches exactly it; in
+        # exhaustive mode that set is the class set itself, ranked if it fails.
+        if exhaustive:
+            reps = sorted(lowest.values())
+            first = dict.fromkeys(sum(c) for s in range(limit + 1) for c in itertools.combinations(reps, s))
+        else:
+            first = {}
+            # Built from the last set to the first, so each key keeps its first index.
+            keys = dict(zip(map(keymask.__and__, reversed(set_masks)), range(n_sets - 1, -1, -1)))
+            for key, idx in keys.items():
+                classes = sum({low[i] for i in _points(key)})
+                first[classes] = min(first.get(classes, (n_sets, 0)), (idx, set_masks[idx]))
         gis = [pattern_index[out.concept_map[ci][1].pattern] for ci in family]
-        zmasks = []
-        for key in first:
-            zmask = 0
-            rest = key & sel
-            while rest:
-                low = rest & -rest
-                zmask |= zbit[low.bit_length() - 1]
-                rest ^= low
-            zmasks.append(zmask)
-        zs = list(dict.fromkeys(zmasks))
-        rhs_of = {z: [taught[gi] for gi in gis] for z, taught in zip(zs, _taught(gmasks, zs))}
-        for idx, lhs, zmask in zip(first.values(), _taught(rows, first), zmasks):
+        zmasks = [sum({zbit[i] for i in _points(classes & sel)}) for classes in first]
+        zs = [z for z in dict.fromkeys(zmasks) if z not in gadget_taught]
+        gadget_taught.update(zip(zs, _taught(gmasks, zs)))
+        rhs_of = {z: [gadget_taught[z][gi] for gi in gis] for z in set(zmasks)}
+        for classes, lhs, zmask in zip(first, _taught(rows, first), zmasks):
             rhs = rhs_of[zmask]
             if lhs != rhs:
+                found = first[classes] or (_set_index(list(_points(classes)), width), classes)
                 for ci, left, right in zip(family, lhs, rhs):
-                    if left != right and idx < first_fail.get(ci, n_sets):
-                        first_fail[ci] = idx
+                    if left != right:
+                        first_fail[ci] = min(first_fail.get(ci, found), found)
     if first_fail:
         ci = min(first_fail)
-        idx = first_fail[ci]
-        combo = tuple(i for i in range(width) if set_masks[idx] >> i & 1)
+        idx, mask = first_fail[ci]
         return ObservationReport(
-            ci * n_sets + idx + 1, exhaustive, (out.concept_map[ci][0], combo)
+            ci * n_sets + idx + 1, exhaustive, (out.concept_map[ci][0], tuple(_points(mask)))
         )
     return ObservationReport(len(out.concept_map) * n_sets, exhaustive, None)
+
+
+def _points(mask: int) -> Iterator[int]:
+    """The indices of a mask's one bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _set_index(points: Sequence[int], width: int) -> int:
+    """Index of sorted `points` among the subsets of range(width), by size, then lex.
+
+    Later sets of its size are counted as in Knuth, TAOCP 4A, 7.2.1.3.
+    """
+    s = len(points)
+    before = sum(comb(width, t) for t in range(s + 1)) - 1
+    return before - sum(comb(width - 1 - c, s - j) for j, c in enumerate(points))
 
 
 # -- sidecar metadata --------------------------------------------------------

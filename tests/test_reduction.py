@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import json
 import random
+import tracemalloc
+from math import comb
 
 import pytest
 
@@ -28,6 +30,7 @@ from teachdim import (
     shinohara_reduce,
     witness_plan,
 )
+from teachdim.reduction import _set_index
 from conftest import (
     all_labeled_graphs,
     bf_min_domset,
@@ -402,6 +405,56 @@ def test_observations_pinned_counterexample(label, zv, kwargs, expected):
     index = out.zv_index(1, 2) if zv else out.vz_index(0, 1)
     report = check_observations(_flip(out, label, index), **kwargs)
     assert (report.sets_checked, report.exhaustive, report.counterexample) == expected
+
+
+def test_set_index_is_the_position_in_size_then_lex_order():
+    for width in range(13):
+        order = [c for s in range(width + 1) for c in itertools.combinations(range(width), s)]
+        assert [_set_index(c, width) for c in order] == list(range(len(order))), width
+
+
+def test_observations_k3_equal_the_pairwise_replay():
+    # k = 3 at N 3-4, clean and with 1-3 flipped bits, sets of size <= 2 only,
+    # so that the reference replays at most 0.3 M pairs.
+    rng = random.Random(31)
+    found = 0
+    for case in range(8):
+        n = 3 + case // 2 % 2
+        pairs = itertools.combinations(range(n), 2)
+        out = domset_to_rtd(Graph.from_edges(n, [e for e in pairs if rng.random() < 0.5]), 3)
+        flips = rng.randint(1, 3) if case % 2 else 0
+        while flips:
+            try:
+                out = _flip(out, rng.choice(out.klass.concepts).label, rng.randrange(out.klass.width))
+                flips -= 1
+            except InvalidArgumentError:  # two rows became equal
+                pass
+        kwargs = [{"max_size": 2}, {"max_size": 1}, {"max_size": 2, "max_sets": 300}][case % 3]
+        report = check_observations(out, **kwargs)
+        assert report == ref_check_observations(out, **kwargs), (case, n, kwargs)
+        found += not report.ok
+    assert found >= 2
+
+
+def test_observations_k3_n8_exhaustive():
+    # 315 concepts over 112 points, every set of size <= 4.
+    out = domset_to_rtd(Graph.from_edges(8, [(v, v + 1) for v in range(7)]), 3)
+    report = check_observations(out, max_sets=10**7)
+    assert report.ok and report.exhaustive
+    assert report.sets_checked == 315 * 6_445_069 == 315 * sum(comb(112, s) for s in range(5))
+
+
+def test_observations_exhaustive_replay_lists_no_sets():
+    # N = 6, k = 3 has 2.03 M candidate sets; listing them would take ~100 MB.
+    out = domset_to_rtd(Graph.from_edges(6, [(v, v + 1) for v in range(5)]), 3)
+    tracemalloc.start()
+    try:
+        report = check_observations(out, max_sets=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.exhaustive
+    assert peak < 5 * 2**20
 
 
 # -- the theorem, desk scale -----------------------------------------------------------

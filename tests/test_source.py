@@ -100,3 +100,18 @@ def test_imports_stay_within_the_standard_set():
                 found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names]
     assert found
     assert [f for f in found if f.split()[1].split(".")[0] not in allowed] == []
+
+
+def test_observation_replay_calls_no_solver():
+    # `verify` sets the observation replay beside the solver's verdict, so
+    # reduction.py, like gadget.py, may import nothing from teaching.py.
+    path = Path(teachdim.__file__).parent / "reduction.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [
+        f"{node.module or ''}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "model._taught" in imported
+    assert [name for name in imported if "teaching" in name.split(".")] == []
