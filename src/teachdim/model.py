@@ -185,6 +185,13 @@ class ConceptClass:
     def row_mask(self, index: int) -> int:
         return self.concepts[index]._mask
 
+    def columns(self, order: Sequence[int] | None = None) -> list[int]:
+        """One int per domain point: bit t is its value in concept order[t] (default class order)."""
+        concepts = self.concepts if order is None else [self.concepts[i] for i in order]
+        if not concepts:
+            return [0] * self.width
+        return [int("".join(col)[::-1], 2) for col in zip(*(c.bitstring() for c in concepts))]
+
     def member_index(self, c: Concept) -> int:
         """Index of `c` in the class; the label must exist with equal values."""
         i = self.index_of(c.label)
@@ -236,15 +243,12 @@ def restrict(c: Concept, points: Iterable[int]) -> dict[int, int]:
     return {i: c._mask >> i & 1 for i in pts}
 
 
-def _first_agreeing(
-    klass: ConceptClass, ci: int, pts: tuple[int, ...], others: Iterable[int]
-) -> int | None:
-    """The first of `others` but ci that agrees with ci on the distinct `pts`, else None."""
-    smask = sum(1 << i for i in pts)
-    cmask = klass.row_mask(ci)
-    return next(
-        (cj for cj in others if cj != ci and (klass.row_mask(cj) ^ cmask) & smask == 0), None
-    )
+def _points(mask: int) -> Iterator[int]:
+    """The indices of a mask's one bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _taught(rows: Sequence[int], sets: Iterable[int]) -> Iterator[list[bool]]:
@@ -257,9 +261,9 @@ def _taught(rows: Sequence[int], sets: Iterable[int]) -> Iterator[list[bool]]:
 
 def is_teaching_set(c: Concept, klass: ConceptClass, points: Iterable[int]) -> bool:
     """True iff every other concept of the class disagrees with `c` somewhere on `points`."""
-    ci = klass.member_index(c)
-    pts = _check_indices(points, klass.width)
-    return _first_agreeing(klass, ci, pts, range(len(klass.concepts))) is None
+    smask = sum(1 << i for i in _check_indices(points, klass.width))
+    own = klass.row_mask(klass.member_index(c)) & smask
+    return [other._mask & smask for other in klass.concepts].count(own) == 1
 
 
 def check_plan(klass: ConceptClass, plan: TeachingPlan) -> int:
@@ -285,11 +289,17 @@ def check_plan(klass: ConceptClass, plan: TeachingPlan) -> int:
             sets.append(_check_indices(pts, klass.width))
         except InvalidArgumentError as e:
             raise MalformedPlanError(f"step for {label!r}: {e}") from None
+    # Bit t of a column is the value of the plan's t-th concept; step i keeps
+    # the suffix concepts that agree with concept i on each of its points.
+    columns = klass.columns(order)
+    full = (1 << len(order)) - 1
     width = 0
-    for i, (ci, pts) in enumerate(zip(order, sets)):
-        cj = _first_agreeing(klass, ci, pts, order[i + 1 :])
-        if cj is not None:
-            other = klass.concepts[cj].label
+    for i, pts in enumerate(sets):
+        agree = full >> i + 1 << i + 1
+        for p in pts:
+            agree &= columns[p] if columns[p] >> i & 1 else ~columns[p]
+        if agree:
+            other = labels[(agree & -agree).bit_length() - 1]
             raise InvalidPlanError(
                 i,
                 other,

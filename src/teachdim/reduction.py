@@ -28,12 +28,12 @@ import json
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError, InvariantError, SoundnessViolationError
 from .gadget import Gadget, build_gadget
 from .graph import Graph
-from .model import Concept, ConceptClass, TeachingPlan, _taught, is_teaching_set
+from .model import Concept, ConceptClass, TeachingPlan, _points, _taught, is_teaching_set
 
 
 @dataclass(frozen=True)
@@ -432,14 +432,6 @@ def check_observations(
             ci * n_sets + idx + 1, exhaustive, (out.concept_map[ci][0], tuple(_points(mask)))
         )
     return ObservationReport(len(out.concept_map) * n_sets, exhaustive, None)
-
-
-def _points(mask: int) -> Iterator[int]:
-    """The indices of a mask's one bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _set_index(points: Sequence[int], width: int) -> int:

@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import takewhile
 from operator import or_
 from .errors import CapacityError, InvalidArgumentError, InvariantError
-from .model import Concept, ConceptClass, TeachingPlan
+from .model import Concept, ConceptClass, TeachingPlan, _points
 
 DEFAULT_SUBSET_ORACLE_CAP = 15
 
@@ -88,7 +88,7 @@ def _small_hitting_set(masks: list[int], r: int, chosen: int, allowed: int = -1)
     return None
 
 
-def _min_hitting_set(diffs: set[int], budget: int, lex: bool = True) -> tuple[int, tuple | int | None]:
+def _min_hitting_set(diffs: list[int], budget: int, lex: bool = True) -> tuple[int, tuple | int | None]:
     """Deepen from the packing bound to the least size of a set hitting every mask.
 
     Returns that size and the lexicographically least such set as points, or
@@ -124,12 +124,19 @@ def _min_hitting_set(diffs: set[int], budget: int, lex: bool = True) -> tuple[in
         found ^= 1 << p
         left -= 1
         allowed = -1 << p + 1
-    return size, tuple(i for i in range(chosen.bit_length()) if chosen >> i & 1)
+    return size, tuple(_points(chosen))
 
 
 def _lex_min_hitting_set(diffs: list[int], budget: int) -> tuple[int, ...] | None:
     """Smallest, then lexicographically least, set of bit positions hitting every mask; None above `budget`."""
-    return _min_hitting_set(set(diffs), budget)[1]
+    return _min_hitting_set(list(set(diffs)), budget)[1]
+
+
+def _diffs(rows: list[int], own: int) -> list[int]:
+    """The masks where `own`, one of the distinct `rows`, differs from each other row."""
+    diffs = [m ^ own for m in rows]
+    diffs.remove(0)
+    return diffs
 
 
 def min_teaching_set(c: Concept, klass: ConceptClass) -> TsResult:
@@ -137,8 +144,8 @@ def min_teaching_set(c: Concept, klass: ConceptClass) -> TsResult:
 
     The witness is the lexicographically least of the minimum-size ones.
     """
-    own = klass.row_mask(klass.member_index(c))
-    diffs = {klass.row_mask(j) ^ own for j in range(len(klass.concepts))} - {0}
+    rows = list(map(klass.row_mask, range(len(klass.concepts))))
+    diffs = _diffs(rows, rows[klass.member_index(c)])
     return TsResult(*_min_hitting_set(diffs, klass.width))  # the whole domain hits every mask
 
 
@@ -146,7 +153,7 @@ def _first_extreme(klass: ConceptClass, pick, what: str) -> tuple[int, str]:
     if not klass.concepts:
         raise InvalidArgumentError(f"{what} of an empty class is undefined")
     rows = list(map(klass.row_mask, range(len(klass.concepts))))
-    sizes = [_min_hitting_set({m ^ own for m in rows} - {0}, klass.width, lex=False)[0] for own in rows]
+    sizes = [_min_hitting_set(_diffs(rows, own), klass.width, lex=False)[0] for own in rows]
     return pick(sizes), klass.concepts[sizes.index(pick(sizes))].label
 
 
@@ -190,8 +197,7 @@ def _strip_decision(
         alive = [rows[j] for j in remaining]
         bound = top
         for ci in order:
-            own = rows[ci]
-            size, witness = _min_hitting_set({m ^ own for m in alive} - {0}, k)
+            size, witness = _min_hitting_set(_diffs(alive, rows[ci]), k)
             if witness is not None:
                 steps.append((klass.concepts[ci].label, witness))
                 remaining.remove(ci)
@@ -200,16 +206,23 @@ def _strip_decision(
         else:
             if k == top:
                 return k, None
+            if bound > len(remaining).bit_length() - 1:  # TD_min(C) <= log2 |C|
+                raise InvariantError(f"k raised to {bound}, above log2 |C| for |C| = {len(remaining)}")
             k = bound
     return k, TeachingPlan(tuple(steps))
 
 
 def rtd(klass: ConceptClass) -> RtdResult:
-    """Exact RTD: one stripping pass from k = 0, raising k only when a round strips nothing.
+    """Exact RTD: one stripping pass that raises k only when a round strips nothing.
 
-    Removing concepts never makes one harder to teach, so k stops at RTD(klass).
+    The pass starts at the least k the columns allow: 0 for at most one concept,
+    1 when a column holds one concept's value alone, else 2; no smaller k strips
+    anything.  Removing concepts never makes one harder to teach, so k stops at
+    RTD(klass).
     """
-    value, plan = _strip_decision(klass, 0, klass.width, None)
+    n = len(klass.concepts)
+    start = 0 if n < 2 else 1 if any(col.bit_count() in (1, n - 1) for col in klass.columns()) else 2
+    value, plan = _strip_decision(klass, start, klass.width, None)
     return RtdResult(value, plan)
 
 
@@ -249,8 +262,7 @@ def rtd_oracle_subsets(klass: ConceptClass, *, cap: int = DEFAULT_SUBSET_ORACLE_
     full = n_sub - 1
     goal = (1 << n_sub) - 2  # every nonempty subclass
     # One-point agreement masks per concept; constant and repeated columns drop out.
-    rows = [c.bitstring() for c in klass.concepts]
-    columns = {int("".join(col)[::-1], 2) for col in zip(*rows)}
+    columns = set(klass.columns())
     singles = [{col if col >> c & 1 else full ^ col for col in columns} - {full} for c in range(m)]
     # level[c]: the values agree(c, T) first reached at |T| = t; seen[c]: all so far.
     level = [{full} for _ in range(m)]

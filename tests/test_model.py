@@ -221,6 +221,14 @@ def test_all_zero_first_is_rejected(point_functions):
     assert agree.values[0] == 0
 
 
+def test_rejection_names_the_first_agreeing_concept_in_plan_order(point_functions):
+    # 001 and 010 both agree with 000 on point 0; the plan lists 001 first.
+    plan = TeachingPlan((("100", (0,)), ("000", (0,)), ("001", (2,)), ("010", (1,))))
+    with pytest.raises(InvalidPlanError, match=r"step 1 \('000', \{0\}\) fails: '001' agrees") as ei:
+        check_plan(point_functions, plan)
+    assert (ei.value.step, ei.value.witness) == (1, "001")
+
+
 def test_plan_missing_concept(point_functions):
     with pytest.raises(MalformedPlanError):
         check_plan(point_functions, TeachingPlan((("100", (0,)),)))

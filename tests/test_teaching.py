@@ -12,6 +12,7 @@ from teachdim import (
     ConceptClass,
     Graph,
     InvalidArgumentError,
+    InvariantError,
     build_gadget,
     check_plan,
     domset_to_rtd,
@@ -24,6 +25,7 @@ from teachdim import (
     td_min,
     teaching_dim,
 )
+from teachdim import teaching
 from teachdim.teaching import _lex_min_hitting_set
 from conftest import (
     bf_min_domset,
@@ -307,6 +309,58 @@ def test_rtd_bounds(seed):
     assert value <= math.ceil(math.log2(len(klass.concepts))) if len(klass.concepts) > 1 else value == 0
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(number of masks, budget) of every kernel search, in call order."""
+    calls = []
+    search = teaching._min_hitting_set
+
+    def counted(diffs, budget, lex=True):
+        calls.append((len(diffs), budget))
+        return search(diffs, budget, lex)
+
+    monkeypatch.setattr(teaching, "_min_hitting_set", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "klass, start",
+    [
+        (ConceptClass((), ()), None),
+        (make_class(["01"]), 0),
+        (make_class(["01", "10"]), 1),
+        # Column x0 reads 1110 down the class: its single 0 teaches c3 alone.
+        (make_class(["111", "110", "101", "000"], labels=["c0", "c1", "c2", "c3"]), 1),
+        (build_gadget(2).klass, 2),  # every column holds four 1s of ten; min TS is 2
+    ],
+)
+def test_rtd_starts_at_the_column_bound(klass, start, kernel_calls):
+    res = rtd(klass)
+    assert (res.value, res.plan) == ref_strip_decision(klass, 0, klass.width, None)
+    assert (kernel_calls[0][1] if kernel_calls else None) == start
+    assert min((budget for _, budget in kernel_calls), default=None) == start
+
+
+def test_rtd_searches_each_concept_twice_on_a_no_instance(kernel_calls):
+    # Domination number 3 at k = 2: the round at k = 2 fails on all 130 concepts,
+    # then each round at k = 3 strips its first concept.  No search runs at k = 0.
+    g = graph_with_domination_number(random.Random(212), 12, 3)
+    klass = domset_to_rtd(g, 2).klass
+    assert rtd(klass).value == 3
+    assert len(kernel_calls) == 2 * len(klass.concepts) == 260
+    assert [c for c in kernel_calls if c[1] == 0 and c[0] >= 1] == []
+
+
+def test_rtd_rejects_a_bound_above_log2_of_the_class(monkeypatch):
+    # TD_min(C) <= log2 |C|, so a failed round may not raise k past it.
+    def inflated(diffs, budget, lex=True):
+        return budget + 10, None
+
+    monkeypatch.setattr(teaching, "_min_hitting_set", inflated)
+    with pytest.raises(InvariantError, match="above log2"):
+        rtd(build_gadget(2).klass)  # 10 concepts over 5 points: k may reach 3 at most
+
+
 # -- subset oracle -----------------------------------------------------------------
 
 
@@ -418,7 +472,7 @@ def graph_with_domination_number(rng: random.Random, n: int, gamma: int) -> Grap
 
 @pytest.mark.parametrize(
     "k, n, yes",
-    [(2, n, yes) for n in range(4, 9) for yes in (True, False)] + [(3, 4, True), (3, 5, True)],
+    [(2, n, yes) for n in (*range(4, 9), 10, 12) for yes in (True, False)] + [(3, 4, True), (3, 5, True)],
 )
 def test_kernel_equals_the_reference_kernel_on_reductions(k, n, yes):
     # Tight instances: domination number exactly k (yes) or k + 1 (no).
