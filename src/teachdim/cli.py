@@ -93,65 +93,47 @@ def _write(*files: tuple[str | Path, str]) -> None:
         raise TeachdimError(f"cannot write {path}: {e.strerror}") from None
 
 
-def _emit(report: dict, as_json: bool, human: list[str]) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in human:
-            print(line)
+def _timed(fn, *args, **kwargs):
+    """fn's result and its wall time in milliseconds."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, (time.perf_counter() - t0) * 1000
 
+
+# Each command fills the report that `main` made and returns its exit status
+# and the lines to print without --json.
 
 # -- compute family ----------------------------------------------------------
 
 
-def _cmd_ts(args) -> int:
-    report = {"command": "ts", "inputs": []}
+def _cmd_ts(args, report: dict) -> tuple[int, list[str]]:
     klass = parse_class(_read(args.classfile, report))
-    t0 = time.perf_counter()
-    res = min_teaching_set(klass.concept(args.concept), klass)
-    ms = (time.perf_counter() - t0) * 1000
+    res, ms = _timed(min_teaching_set, klass.concept(args.concept), klass)
+    labels = [klass.domain[i].label for i in res.witness]
     report |= {
         "concept": args.concept,
         "ts": res.size,
         "witness": list(res.witness),
-        "witness_labels": [klass.domain[i].label for i in res.witness],
+        "witness_labels": labels,
         "duration_ms": round(ms, 3),
     }
-    _emit(report, args.json, [
-        f"TS = {res.size}",
-        f"witness: {{{', '.join(report['witness_labels'])}}}",
-    ])
-    return 0
+    return 0, [f"TS = {res.size}", f"witness: {{{', '.join(labels)}}}"]
 
 
-def _cmd_td(args) -> int:
-    report = {"command": "td", "inputs": []}
-    klass = parse_class(_read(args.classfile, report))
-    t0 = time.perf_counter()
-    value, label = teaching_dim(klass)
-    ms = (time.perf_counter() - t0) * 1000
+def _cmd_td(args, report: dict) -> tuple[int, list[str]]:
+    (value, label), ms = _timed(teaching_dim, parse_class(_read(args.classfile, report)))
     report |= {"td": value, "argmax": label, "duration_ms": round(ms, 3)}
-    _emit(report, args.json, [f"TD = {value} (concept {label})"])
-    return 0
+    return 0, [f"TD = {value} (concept {label})"]
 
 
-def _cmd_tdmin(args) -> int:
-    report = {"command": "tdmin", "inputs": []}
-    klass = parse_class(_read(args.classfile, report))
-    t0 = time.perf_counter()
-    value, label = td_min(klass)
-    ms = (time.perf_counter() - t0) * 1000
+def _cmd_tdmin(args, report: dict) -> tuple[int, list[str]]:
+    (value, label), ms = _timed(td_min, parse_class(_read(args.classfile, report)))
     report |= {"td_min": value, "argmin": label, "duration_ms": round(ms, 3)}
-    _emit(report, args.json, [f"TD_min = {value} (concept {label})"])
-    return 0
+    return 0, [f"TD_min = {value} (concept {label})"]
 
 
-def _cmd_rtd(args) -> int:
-    report = {"command": "rtd", "inputs": []}
-    klass = parse_class(_read(args.classfile, report))
-    t0 = time.perf_counter()
-    res = rtd(klass)
-    ms = (time.perf_counter() - t0) * 1000
+def _cmd_rtd(args, report: dict) -> tuple[int, list[str]]:
+    res, ms = _timed(rtd, parse_class(_read(args.classfile, report)))
     plan_text = serialize_plan(res.plan)
     if args.plan_out:
         _write((args.plan_out, plan_text))
@@ -160,42 +142,32 @@ def _cmd_rtd(args) -> int:
         "plan": [[label, list(pts)] for label, pts in res.plan.steps],
         "duration_ms": round(ms, 3),
     }
-    human = [f"RTD = {res.value}", "plan:"]
-    human += ["  " + line for line in plan_text.splitlines()]
-    _emit(report, args.json, human)
-    return 0
+    return 0, [f"RTD = {res.value}", "plan:"] + ["  " + line for line in plan_text.splitlines()]
 
 
-def _cmd_rtd_oracle(args) -> int:
-    report = {"command": "rtd-oracle", "inputs": []}
+def _cmd_rtd_oracle(args, report: dict) -> tuple[int, list[str]]:
     klass = parse_class(_read(args.classfile, report))
-    t0 = time.perf_counter()
-    value = rtd_oracle_subsets(klass, cap=args.cap)
-    ms = (time.perf_counter() - t0) * 1000
+    value, ms = _timed(rtd_oracle_subsets, klass, cap=args.cap)
     report |= {"rtd": value, "duration_ms": round(ms, 3)}
-    _emit(report, args.json, [f"RTD (subset oracle) = {value}"])
-    return 0
+    return 0, [f"RTD (subset oracle) = {value}"]
 
 
-def _cmd_plan_check(args) -> int:
-    report = {"command": "plan-check", "inputs": []}
+def _cmd_plan_check(args, report: dict) -> tuple[int, list[str]]:
     klass = parse_class(_read(args.classfile, report))
     plan = parse_plan(_read(args.planfile, report))
     try:
         width = check_plan(klass, plan)
     except InvalidPlanError as e:
         report |= {"valid": False, "step": e.step, "witness": e.witness, "error": str(e)}
-        _emit(report, args.json, [f"plan invalid: {e}"])
-        return 1
+        return 1, [f"plan invalid: {e}"]
     report |= {"valid": True, "width": width}
-    _emit(report, args.json, [f"plan valid: width {width}"])
-    return 0
+    return 0, [f"plan valid: width {width}"]
 
 
 # -- construction family -----------------------------------------------------
 
 
-def _cmd_gadget(args) -> int:
+def _cmd_gadget(args, report: dict) -> tuple[int, list[str]]:
     g = build_gadget(args.k)
     sys.stdout.write(serialize_class(g.klass))
     if args.verify:
@@ -210,12 +182,11 @@ def _cmd_gadget(args) -> int:
                 f"counterexample: property {prop}, concept {label}, points {list(pts)}",
                 file=sys.stderr,
             )
-            return 1
-    return 0
+            return 1, []
+    return 0, []
 
 
-def _cmd_reduce(args) -> int:
-    report = {"command": "reduce", "inputs": []}
+def _cmd_reduce(args, report: dict) -> tuple[int, list[str]]:
     g = parse_graph(_read(args.graphfile, report))
     stem = Path(args.graphfile).stem
     if args.variant == "rtd":
@@ -250,16 +221,11 @@ def _cmd_reduce(args) -> int:
     _write((class_path, class_text), (meta_path, meta_text))
     report |= summary
     report |= {"class_file": str(class_path), "metadata_file": str(meta_path)}
-    human = [f"{key}: {value}" for key, value in summary.items()] + [
-        f"wrote {class_path}",
-        f"wrote {meta_path}",
-    ]
-    _emit(report, args.json, human)
-    return 0
+    human = [f"{key}: {value}" for key, value in summary.items()]
+    return 0, human + [f"wrote {class_path}", f"wrote {meta_path}"]
 
 
-def _cmd_verify(args) -> int:
-    report = {"command": "verify", "inputs": []}
+def _cmd_verify(args, report: dict) -> tuple[int, list[str]]:
     g = parse_graph(_read(args.graphfile, report))
     k = args.k
     # Parameter violations (exit 2) outrank the budget gate (exit 3).
@@ -309,11 +275,15 @@ def _cmd_verify(args) -> int:
     problems: list[str] = []
     if dom:
         wplan = witness_plan(out, witness)
-        width = check_plan(out.klass, wplan)
-        report["witness_plan_width"] = width
-        human.append(f"witness plan: {len(wplan)} steps, width {width}, valid")
-        if width > k:
-            problems.append(f"witness plan width {width} exceeds k")
+        try:
+            width = check_plan(out.klass, wplan)
+        except (InvalidPlanError, MalformedPlanError) as e:
+            problems.append(f"witness plan invalid: {e}")
+        else:
+            report["witness_plan_width"] = width
+            human.append(f"witness plan: {len(wplan)} steps, width {width}, valid")
+            if width > k:
+                problems.append(f"witness plan width {width} exceeds k")
         lap("witness_plan")
         first_pattern = out.concept_map[0][1].pattern
         ts = min_teaching_set(out.klass.concept(out.constraint_label(first_pattern)), out.klass)
@@ -350,19 +320,17 @@ def _cmd_verify(args) -> int:
     }
     human.append(f"verdict: {verdict}")
     human += [f"  problem: {p}" for p in problems]
-    _emit(report, args.json, human)
-    return 0 if verdict == "EQUIVALENT" else 1
+    return (0 if verdict == "EQUIVALENT" else 1), human
 
 
 # -- generation and benchmarking ----------------------------------------------
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, report: dict) -> tuple[int, list[str]]:
     g = gen_random_graph(args.n, args.p, args.seed)
     out = args.out or f"er_n{args.n}_p{args.p}_s{args.seed}.graph"
     _write((out, serialize_graph(g)))
-    print(f"wrote {out} ({g.n} vertices, {len(g.edges)} edges)")
-    return 0
+    return 0, [f"wrote {out} ({g.n} vertices, {len(g.edges)} edges)"]
 
 
 def _parse_sweep(tokens: list[str]) -> dict[str, list[int]]:
@@ -387,7 +355,7 @@ def _parse_sweep(tokens: list[str]) -> dict[str, list[int]]:
     return ranges
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, report: dict) -> tuple[int, list[str]]:
     ranges = _parse_sweep(args.sweep)
     rows = ["N,k,concepts,points,rtd,milliseconds"]
     for k in ranges["k"]:
@@ -396,20 +364,14 @@ def _cmd_bench(args) -> int:
                 print(f"skipping N={n} k={k} (k > N)", file=sys.stderr)
                 continue
             g = gen_random_graph(n, args.edge_probability, args.seed)
-            t0 = time.perf_counter()
-            out = domset_to_rtd(g, k)
-            value = rtd(out.klass).value
-            ms = (time.perf_counter() - t0) * 1000
-            rows.append(
-                f"{n},{k},{len(out.klass.concepts)},{out.klass.width},{value},{ms:.1f}"
-            )
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        _write((args.out, text))
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+            out, build_ms = _timed(domset_to_rtd, g, k)
+            res, rtd_ms = _timed(rtd, out.klass)
+            shape = f"{n},{k},{len(out.klass.concepts)},{out.klass.width}"
+            rows.append(f"{shape},{res.value},{build_ms + rtd_ms:.1f}")
+    if not args.out:
+        return 0, rows
+    _write((args.out, "\n".join(rows) + "\n"))
+    return 0, [f"wrote {args.out}"]
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -421,6 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Teaching-dimension computations, gadget construction and "
         "dominating-set reductions for explicit concept classes.",
     )
+    parser.set_defaults(json=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_json(p):
@@ -502,26 +465,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# An escaping error's exit status and message prefix: the first row whose
+# type matches wins.
+EXITS = (
+    (CapacityError, 3, "error"),
+    (SoundnessViolationError, 1, "SOUNDNESS VIOLATION"),
+    (InvariantError, 1, "INTERNAL ERROR"),
+    (TeachdimError, 2, "error"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    report = {"command": args.command, "inputs": []}
     try:
-        return args.func(args)
-    except CapacityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ParseError, InvalidArgumentError, MalformedPlanError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SoundnessViolationError as e:
-        print(f"SOUNDNESS VIOLATION: {e}", file=sys.stderr)
-        return 1
-    except InvariantError as e:
-        print(f"INTERNAL ERROR: {e}", file=sys.stderr)
-        return 1
+        code, human = args.func(args, report)
     except TeachdimError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        code, prefix = next((code, prefix) for kind, code, prefix in EXITS if isinstance(e, kind))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
+    if args.json:
+        print(json.dumps(report, indent=2))
+    else:
+        for line in human:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

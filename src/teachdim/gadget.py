@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InvalidArgumentError, InvariantError
-from .model import Concept, ConceptClass, _taught
+from .model import Concept, ConceptClass, _points, _taught
 
 DEFAULT_K_CAP = 6  # C(13, 6) = 1716 concepts at the cap
 
@@ -125,7 +125,6 @@ def verify_gadget(g: Gadget) -> GadgetReport:
     for prop, failed in enumerate((wrong_size, shows_zero, beside_ones), start=1):
         if failed:
             ci = min(failed)
-            points = tuple(i for i in range(klass.width) if failed[ci] >> i & 1)
-            counter = (prop, klass.concepts[ci].label, points)
+            counter = (prop, klass.concepts[ci].label, tuple(_points(failed[ci])))
             break
     return GadgetReport(not wrong_size, not shows_zero, not beside_ones, counter)

@@ -350,7 +350,9 @@ def parse_class(text: str) -> ConceptClass:
     """Parse the class text format; raises ParseError with a line number."""
     _, n_concepts, n_points, rest = _header(text, "'<numConcepts> <numPoints>'")
     point_labels = [f"x{i}" for i in range(n_points)]
-    if rest and rest[0][1].split()[0] == "labels:":
+    # Without points, a concept may be named "labels:"; the line is the labels
+    # line only when the body holds a line more than the concepts.
+    if rest and rest[0][1].split()[0] == "labels:" and (n_points or len(rest) > n_concepts):
         lineno, body = rest[0]
         names = body.split()[1:]
         if len(names) != n_points:

@@ -5,6 +5,18 @@ from pathlib import Path
 
 import pytest
 
+from teachdim import (
+    CapacityError,
+    InvalidArgumentError,
+    InvalidPlanError,
+    InvariantError,
+    MalformedPlanError,
+    ParseError,
+    SoundnessViolationError,
+    TeachdimError,
+    TeachingPlan,
+    witness_plan,
+)
 from teachdim.cli import main
 
 POINT_CLASS = "4 3\n100 100\n010 010\n001 001\n000 000\n"
@@ -202,6 +214,25 @@ def test_verify_rejects_non_dominating_witness(workdir, capsys, monkeypatch):
     assert "EQUIVALENT" not in out
 
 
+def test_verify_invalid_witness_plan_is_a_violation(workdir, capsys, monkeypatch):
+    def emptied(out, witness):
+        (label, _), *rest = witness_plan(out, witness).steps
+        return TeachingPlan(((label, ()), *rest))
+
+    monkeypatch.setattr("teachdim.cli.witness_plan", emptied)
+    code, out, err = run(capsys, "verify", "k3.graph", "1")
+    assert (code, err) == (1, "")
+    assert "witness plan:" not in out
+    assert "verdict: VIOLATION\n  problem: witness plan invalid: step 0 ('h100', {}) fails" in out
+    code, out, err = run(capsys, "verify", "k3.graph", "1", "--json")
+    assert (code, err) == (1, "")
+    rep = json.loads(out)
+    assert rep["verdict"] == "VIOLATION"
+    assert [p.split(":")[0] for p in rep["problems"]] == ["witness plan invalid"]
+    assert "witness_plan_width" not in rep
+    assert rep["extracted_dominating_set"] == [0]
+
+
 def test_verify_negative_observation_cap_exit_2(workdir, capsys):
     code, out, err = run(capsys, "verify", "k3.graph", "1", "--max-observation-sets", "-5")
     assert code == 2
@@ -263,6 +294,41 @@ def test_bench_default_sweep(workdir, capsys):
 def test_bench_bad_sweep_exit_2(workdir, capsys):
     code, _, _ = run(capsys, "bench", "Q=1..2")
     assert code == 2
+
+
+# -- exit statuses ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (CapacityError("too big"), 3, "error"),
+        (SoundnessViolationError("no domset"), 1, "SOUNDNESS VIOLATION"),
+        (InvariantError("bad witness"), 1, "INTERNAL ERROR"),
+        (ParseError("bad header", 1), 2, "error"),
+        (InvalidArgumentError("bad k"), 2, "error"),
+        (MalformedPlanError("short plan"), 2, "error"),
+        (InvalidPlanError(0, "000", "step 0 fails"), 2, "error"),
+        (TeachdimError("cannot write"), 2, "error"),
+    ],
+)
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_exit_table(workdir, capsys, monkeypatch, error, code, prefix, flags):
+    def fail(*_):
+        raise error
+
+    monkeypatch.setattr("teachdim.cli._cmd_td", fail)
+    assert run(capsys, "td", "pointclass.txt", *flags) == (code, "", f"{prefix}: {error}\n")
+
+
+def test_other_errors_propagate(workdir, capsys, monkeypatch):
+    def fail(*_):
+        raise KeyError("not ours")
+
+    monkeypatch.setattr("teachdim.cli._cmd_td", fail)
+    with pytest.raises(KeyError):
+        main(["td", "pointclass.txt", "--json"])
+    assert capsys.readouterr().out == ""
 
 
 # -- reading and writing files ------------------------------------------------------

@@ -319,6 +319,16 @@ def test_serialize_empty_domain_no_trailing_whitespace():
     assert parse_class(text) == klass
 
 
+def test_empty_domain_concept_named_labels_round_trips():
+    klass = make_class([""], labels=["labels:"])
+    text = serialize_class(klass)
+    assert text == "1 0\nlabels:\n"
+    assert parse_class(text) == klass
+    # A line more than the concepts makes the first one the labels line again.
+    assert parse_class("1 0\nlabels:\nx\n") == make_class([""], labels=["x"])
+    assert parse_class("0 0\nlabels:\n").concepts == ()
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60)
 def test_roundtrip_random_classes(seed):
