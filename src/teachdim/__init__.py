@@ -17,10 +17,9 @@ from .errors import (
     SoundnessViolationError,
     TeachdimError,
 )
-from .gadget import Gadget, GadgetReport, build_gadget, ones_extension, verify_gadget
+from .gadget import Gadget, GadgetReport, build_gadget, verify_gadget
 from .graph import (
     Graph,
-    dominates,
     gen_random_graph,
     has_dominating_set,
     parse_graph,
@@ -35,7 +34,6 @@ from .model import (
     is_teaching_set,
     parse_class,
     parse_plan,
-    restrict,
     serialize_class,
     serialize_plan,
 )
@@ -49,7 +47,6 @@ from .reduction import (
     domset_to_rtd,
     extract_domset,
     metadata_json,
-    nu_pairing,
     shinohara_metadata_json,
     shinohara_reduce,
     witness_plan,
@@ -93,7 +90,6 @@ __all__ = [
     "build_gadget",
     "check_observations",
     "check_plan",
-    "dominates",
     "domset_to_rtd",
     "extract_domset",
     "gen_random_graph",
@@ -101,12 +97,9 @@ __all__ = [
     "is_teaching_set",
     "metadata_json",
     "min_teaching_set",
-    "nu_pairing",
-    "ones_extension",
     "parse_class",
     "parse_graph",
     "parse_plan",
-    "restrict",
     "rtd",
     "rtd_decision",
     "rtd_oracle_subsets",

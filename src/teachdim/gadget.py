@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InvalidArgumentError, InvariantError
-from .model import Concept, ConceptClass, _points, _taught
+from .model import ConceptClass, _points, _taught
 
 DEFAULT_K_CAP = 6  # C(13, 6) = 1716 concepts at the cap
 
@@ -71,17 +71,6 @@ def build_gadget(k: int, *, cap: int = DEFAULT_K_CAP) -> Gadget:
     if len(klass.concepts) != q:
         raise InvariantError(f"gadget has {len(klass.concepts)} members, expected C({p}, {k}) = {q}")
     return Gadget(k, p, q, klass)
-
-
-def ones_extension(klass: ConceptClass) -> ConceptClass:
-    """The class with the all-one concept appended, labelled by its bitstring.
-
-    A class that already holds the all-one row is its own extension.
-    """
-    if (1 << klass.width) - 1 in map(klass.row_mask, range(len(klass.concepts))):
-        return klass
-    ones = Concept("1" * klass.width if klass.width else "ones", (1,) * klass.width)
-    return ConceptClass(klass.domain, klass.concepts + (ones,))
 
 
 def verify_gadget(g: Gadget) -> GadgetReport:

@@ -62,14 +62,6 @@ class Graph:
         return covered == (1 << self.n) - 1
 
 
-def dominates(g: Graph, u: int, v: int) -> bool:
-    """True iff u = v or {u, v} is an edge."""
-    for x in (u, v):
-        if not (0 <= x < g.n):
-            raise InvalidArgumentError(f"vertex {x} outside 0..{g.n - 1}")
-    return u == v or (min(u, v), max(u, v)) in g.edges
-
-
 def has_dominating_set(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
     """Does some vertex set of size <= k dominate every vertex?
 

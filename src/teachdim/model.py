@@ -237,12 +237,6 @@ def _check_indices(points: Iterable[int], width: int) -> tuple[int, ...]:
     return pts
 
 
-def restrict(c: Concept, points: Iterable[int]) -> dict[int, int]:
-    """The partial labelling {i: c(x_i)} of `c` on the given point indices."""
-    pts = _check_indices(points, c._width)
-    return {i: c._mask >> i & 1 for i in pts}
-
-
 def _points(mask: int) -> Iterator[int]:
     """The indices of a mask's one bits, ascending."""
     while mask:
@@ -348,7 +342,7 @@ def _header(text: str, form: str) -> tuple[int, int, int, list[tuple[int, str]]]
 
 def parse_class(text: str) -> ConceptClass:
     """Parse the class text format; raises ParseError with a line number."""
-    _, n_concepts, n_points, rest = _header(text, "'<numConcepts> <numPoints>'")
+    header, n_concepts, n_points, rest = _header(text, "'<numConcepts> <numPoints>'")
     point_labels = [f"x{i}" for i in range(n_points)]
     # Without points, a concept may be named "labels:"; the line is the labels
     # line only when the body holds a line more than the concepts.
@@ -365,7 +359,7 @@ def parse_class(text: str) -> ConceptClass:
         point_labels = names
         rest = rest[1:]
     if len(rest) != n_concepts:
-        where = rest[n_concepts][0] if len(rest) > n_concepts else None
+        where = rest[n_concepts][0] if len(rest) > n_concepts else header
         raise ParseError(
             f"expected {n_concepts} concept lines, found {len(rest)}", where
         )

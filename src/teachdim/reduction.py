@@ -71,26 +71,13 @@ class ReductionOutput:
     concept_map: tuple[tuple[str, ConceptRef], ...]
     gadget: Gadget
 
-    def __post_init__(self):
-        object.__setattr__(self, "_refs", dict(self.concept_map))
-
-    @property
-    def n_vertices(self) -> int:
-        return self.graph.n
-
-    def concept_ref(self, label: str) -> ConceptRef:
-        try:
-            return self._refs[label]  # type: ignore[attr-defined]
-        except KeyError:
-            raise InvalidArgumentError(f"no concept labelled {label!r} in reduction") from None
-
     def vz_index(self, v: int, z: int) -> int:
         """Domain index of the VZ-block point (v, z)."""
         return v * self.p + z
 
     def zv_index(self, z: int, v: int) -> int:
         """Domain index of the ZV-block point (z, v)."""
-        return self.n_vertices * self.p + z * self.n_vertices + v
+        return self.graph.n * self.p + z * self.graph.n + v
 
     def constraint_label(self, pattern: str) -> str:
         return f"h{pattern}"
@@ -124,19 +111,6 @@ class ObservationReport:
     @property
     def ok(self) -> bool:
         return self.counterexample is None
-
-
-def nu_pairing(a: Sequence, b: Sequence) -> tuple[tuple, ...]:
-    """Positional pairing of two equal-size sequences, in their given orders.
-
-    Both projections of the result are onto: the first one equals `a`, the
-    second equals `b`.
-    """
-    if len(a) != len(b):
-        raise InvalidArgumentError(
-            f"pairing requires equal sizes, got {len(a)} and {len(b)}"
-        )
-    return tuple(zip(a, b))
 
 
 def _undominated(g: Graph, u: int) -> str:
@@ -248,11 +222,9 @@ def witness_plan(out: ReductionOutput, dominating: Iterable[int]) -> TeachingPla
     patterns = map(Concept.bitstring, out.gadget.klass.concepts)
     members = [(pat, tuple(z for z, bit in enumerate(pat) if bit == "1")) for pat in patterns]
     for pat, sup in members:
-        pairs = nu_pairing(T, sup)
-        steps.append(
-            (out.constraint_label(pat), tuple(out.vz_index(v, z) for v, z in pairs))
-        )
-    for u in range(out.n_vertices):
+        pairs = zip(T, sup, strict=True)
+        steps.append((out.constraint_label(pat), tuple(out.vz_index(v, z) for v, z in pairs)))
+    for u in range(out.graph.n):
         for pat, sup in members:
             steps.append(
                 (out.vertex_concept_label(u, pat), tuple(out.zv_index(z, u) for z in sup))
@@ -389,7 +361,7 @@ def check_observations(
         for row in rows:
             support |= row ^ rows[0]
         if vertex is None:
-            sel = (1 << out.n_vertices * out.p) - 1  # the VZ block
+            sel = (1 << out.graph.n * out.p) - 1  # the VZ block
         else:
             sel = sum(1 << out.zv_index(z, vertex) for z in range(out.p))
         keymask = support | sel
@@ -452,7 +424,7 @@ def metadata_json(out: ReductionOutput) -> str:
     doc = {
         "kind": "domset-to-rtd",
         "k": out.k,
-        "vertices": out.n_vertices,
+        "vertices": out.graph.n,
         "z_points": out.p,
         "gadget_size": out.q,
         "num_concepts": len(out.klass.concepts),

@@ -127,11 +127,6 @@ def _min_hitting_set(diffs: list[int], budget: int, lex: bool = True) -> tuple[i
     return size, tuple(_points(chosen))
 
 
-def _lex_min_hitting_set(diffs: list[int], budget: int) -> tuple[int, ...] | None:
-    """Smallest, then lexicographically least, set of bit positions hitting every mask; None above `budget`."""
-    return _min_hitting_set(list(set(diffs)), budget)[1]
-
-
 def _diffs(rows: list[int], own: int) -> list[int]:
     """The masks where `own`, one of the distinct `rows`, differs from each other row."""
     diffs = [m ^ own for m in rows]

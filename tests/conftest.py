@@ -31,10 +31,8 @@ from teachdim import (
     ShinoharaResult,
     TeachingPlan,
     build_gadget,
-    dominates,
     is_teaching_set,
     min_teaching_set,
-    ones_extension,
 )
 
 
@@ -63,6 +61,23 @@ def all_labeled_graphs(n: int):
 
 
 # -- brute-force oracles -------------------------------------------------------
+
+
+def dominates(g: Graph, u: int, v: int) -> bool:
+    """u dominates v: they are the same vertex or share an edge."""
+    return u == v or (min(u, v), max(u, v)) in g.edges
+
+
+def ones_extension(klass: ConceptClass) -> ConceptClass:
+    """`klass` with the all-one concept, labelled by its bitstring, appended.
+
+    A class that already holds the all-one row is its own extension.
+    """
+    ones = (1,) * klass.width
+    if any(c.values == ones for c in klass.concepts):
+        return klass
+    label = "1" * klass.width or "ones"
+    return ConceptClass(klass.domain, klass.concepts + (Concept(label, ones),))
 
 
 def bf_is_teaching_set(rows, ci, points) -> bool:

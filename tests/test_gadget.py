@@ -12,7 +12,6 @@ from teachdim import (
     build_gadget,
     is_teaching_set,
     min_teaching_set,
-    ones_extension,
     parse_class,
     rtd,
     rtd_oracle_subsets,
@@ -20,7 +19,7 @@ from teachdim import (
     td_min,
     verify_gadget,
 )
-from conftest import bf_min_ts, bf_verify_gadget, ref_verify_gadget
+from conftest import bf_min_ts, bf_verify_gadget, ones_extension, ref_verify_gadget
 
 
 def drop_concepts(g: Gadget, *labels: str) -> Gadget:

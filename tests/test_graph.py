@@ -6,13 +6,12 @@ from teachdim import (
     Graph,
     InvalidArgumentError,
     ParseError,
-    dominates,
     gen_random_graph,
     has_dominating_set,
     parse_graph,
     serialize_graph,
 )
-from conftest import all_labeled_graphs
+from conftest import all_labeled_graphs, dominates
 
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -34,29 +33,6 @@ def test_self_loop_rejected():
 def test_out_of_range_edge_rejected():
     with pytest.raises(InvalidArgumentError):
         Graph.from_edges(2, [(0, 2)])
-
-
-# -- dominates ----------------------------------------------------------------
-
-
-def test_dominates_reflexive():
-    g = Graph.from_edges(2, [])
-    assert dominates(g, 1, 1)
-
-
-def test_dominates_via_edge():
-    assert dominates(K3, 0, 1)
-    assert dominates(K3, 1, 0)
-
-
-def test_dominates_no_edge():
-    g = Graph.from_edges(2, [])
-    assert not dominates(g, 0, 1)
-
-
-def test_dominates_bad_vertex():
-    with pytest.raises(InvalidArgumentError):
-        dominates(K3, 0, 3)
 
 
 # -- has_dominating_set ----------------------------------------------------------

@@ -17,47 +17,10 @@ from teachdim import (
     parse_class,
     parse_graph,
     parse_plan,
-    restrict,
     serialize_class,
     serialize_plan,
 )
 from conftest import make_class, random_class
-
-
-# -- restrict ------------------------------------------------------------------
-
-
-def test_restrict_unrolled():
-    c = Concept("c", (1, 0, 1))
-    assert restrict(c, {0, 2}) == {0: 1, 2: 1}
-
-
-def test_restrict_empty():
-    assert restrict(Concept("c", (1, 0, 1)), set()) == {}
-
-
-def test_restrict_four_points():
-    c = Concept("c", (0, 1, 1, 0))
-    assert restrict(c, {1, 2, 3}) == {1: 1, 2: 1, 3: 0}
-
-
-def test_restrict_out_of_range():
-    with pytest.raises(InvalidArgumentError):
-        restrict(Concept("c", (1, 0)), {2})
-    with pytest.raises(InvalidArgumentError):
-        restrict(Concept("c", (1, 0)), {-1})
-
-
-@given(st.data())
-@settings(max_examples=60)
-def test_restrict_composition(data):
-    width = data.draw(st.integers(1, 8))
-    bits = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
-    c = Concept("c", tuple(int(b) for b in bits))
-    s = data.draw(st.sets(st.integers(0, width - 1)))
-    t = data.draw(st.sets(st.integers(0, width - 1)))
-    whole = restrict(c, s | t)
-    assert {i: whole[i] for i in s} == restrict(c, s)
 
 
 # -- is_teaching_set -------------------------------------------------------------
@@ -186,7 +149,6 @@ def test_every_way_to_build_a_concept_agrees(data):
         ConceptClass.from_rows(mixed, labels).concepts,
         parse_class(serialize_class(ConceptClass.from_rows(rows, labels))).concepts,
     ]
-    points = data.draw(st.sets(st.integers(0, width - 1))) if width else set()
     for concepts in routes:
         assert list(concepts) == direct
         for c, d, m, row, b in zip(concepts, direct, masks, rows, bits):
@@ -194,7 +156,6 @@ def test_every_way_to_build_a_concept_agrees(data):
             assert c.values == row and all(type(v) is int for v in c.values)
             assert c.bitstring() == b
             assert c.mask() == m
-            assert restrict(c, points) == {i: row[i] for i in points}
 
 
 # -- check_plan ------------------------------------------------------------------
@@ -358,6 +319,8 @@ def test_plan_parse_rejects_junk():
     [
         ("2 2\nlabels: p p\nA 10\nB 01\n", 2),  # repeated point label
         ("# c\n1 3\nlabels: a b a\nA 101\n", 3),
+        ("2 2\nA 10\n", 1),  # fewer concept lines than the header says
+        ("# c\n3 2\nlabels: p q\nA 10\n", 2),
     ],
 )
 def test_parse_errors_name_the_line(text, line):

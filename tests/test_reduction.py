@@ -22,7 +22,6 @@ from teachdim import (
     is_teaching_set,
     metadata_json,
     min_teaching_set,
-    nu_pairing,
     rtd,
     rtd_decision,
     serialize_class,
@@ -41,22 +40,6 @@ from conftest import (
 
 K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 EMPTY2 = Graph.from_edges(2, [])
-
-
-# -- nu pairing ---------------------------------------------------------------
-
-
-def test_nu_zip():
-    assert nu_pairing(["a", "b"], ["x", "y"]) == (("a", "x"), ("b", "y"))
-
-
-def test_nu_empty():
-    assert nu_pairing([], []) == ()
-
-
-def test_nu_size_mismatch():
-    with pytest.raises(InvalidArgumentError):
-        nu_pairing(["a"], ["x", "y"])
 
 
 # -- single-concept reduction ------------------------------------------------------
@@ -146,7 +129,7 @@ def test_parameter_validation():
 def test_constraint_rows():
     out = domset_to_rtd(K3, 1)
     gadget = build_gadget(1)
-    zv_start = out.n_vertices * out.p
+    zv_start = out.graph.n * out.p
     for gc in gadget.klass.concepts:
         c = out.klass.concept(f"h{gc.bitstring()}")
         assert all(v == 1 for v in c.values[zv_start:])
@@ -179,9 +162,9 @@ def test_point_and_concept_maps():
     zv0 = out.zv_index(0, 0)
     assert out.klass.domain[zv0].label == "(z0,v1)"
     assert out.point_map[zv0].block == "ZV"
-    ref = out.concept_ref("v2.h010")
+    ref = dict(out.concept_map)["v2.h010"]
     assert (ref.kind, ref.vertex, ref.pattern) == ("vertex", 1, "010")
-    ref = out.concept_ref("h100")
+    ref = dict(out.concept_map)["h100"]
     assert (ref.kind, ref.vertex, ref.pattern) == ("constraint", None, "100")
 
 
@@ -473,7 +456,7 @@ def test_equivalence_exhaustive_small(n):
                 assert check_plan(out.klass, witness_plan(out, witness)) <= k
                 assert check_plan(out.klass, plan) <= k
                 first = plan.steps[0]
-                ref = out.concept_ref(first[0])
+                ref = dict(out.concept_map)[first[0]]
                 assert ref.kind == "constraint"
                 T = extract_domset(out, ref.pattern, first[1])
                 assert len(T) <= k

@@ -17,7 +17,6 @@ from teachdim import (
     check_plan,
     domset_to_rtd,
     min_teaching_set,
-    ones_extension,
     rtd,
     rtd_decision,
     rtd_oracle_subsets,
@@ -26,12 +25,12 @@ from teachdim import (
     teaching_dim,
 )
 from teachdim import teaching
-from teachdim.teaching import _lex_min_hitting_set
 from conftest import (
     bf_min_domset,
     bf_min_ts,
     bf_rtd,
     make_class,
+    ones_extension,
     random_class,
     ref_lex_min_hitting_set,
     ref_min_hitting_set,
@@ -131,11 +130,15 @@ def mask_families(draw):
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_size_then_lex_bruteforce(family, budget):
     width, masks = family
+
+    def kernel(b):
+        return teaching._min_hitting_set(list(set(masks)), b)[1]
+
     best = bf_lex_min_hitting_set(masks, width, width)
-    assert _lex_min_hitting_set(masks, len(best)) == best
+    assert kernel(len(best)) == best
     if best:
-        assert _lex_min_hitting_set(masks, len(best) - 1) is None
-    assert _lex_min_hitting_set(masks, budget) == bf_lex_min_hitting_set(masks, width, budget)
+        assert kernel(len(best) - 1) is None
+    assert kernel(budget) == bf_lex_min_hitting_set(masks, width, budget)
 
 
 @given(st.integers(0, 2**32 - 1))
