@@ -28,7 +28,6 @@ from .graph import (
 from .model import (
     Concept,
     ConceptClass,
-    DomainPoint,
     TeachingPlan,
     check_plan,
     is_teaching_set,
@@ -69,7 +68,6 @@ __all__ = [
     "Concept",
     "ConceptClass",
     "ConceptRef",
-    "DomainPoint",
     "Gadget",
     "GadgetReport",
     "Graph",

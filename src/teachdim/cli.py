@@ -32,6 +32,7 @@ from .gadget import build_gadget, verify_gadget
 from .graph import gen_random_graph, has_dominating_set, parse_graph, serialize_graph
 from .model import check_plan, parse_class, parse_plan, serialize_class, serialize_plan
 from .reduction import (
+    DEFAULT_MAX_OBSERVATION_SETS,
     check_observations,
     domset_to_rtd,
     extract_domset,
@@ -109,7 +110,7 @@ def _timed(fn, *args, **kwargs):
 def _cmd_ts(args, report: dict) -> tuple[int, list[str]]:
     klass = parse_class(_read(args.classfile, report))
     res, ms = _timed(min_teaching_set, klass.concept(args.concept), klass)
-    labels = [klass.domain[i].label for i in res.witness]
+    labels = [klass.domain[i] for i in res.witness]
     report |= {
         "concept": args.concept,
         "ts": res.size,
@@ -443,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--budget-override", action="store_true",
                    help=f"allow N > {VERIFY_MAX_VERTICES} or k > {VERIFY_MAX_K}")
-    p.add_argument("--max-observation-sets", type=int, default=250_000,
+    p.add_argument("--max-observation-sets", type=int, default=DEFAULT_MAX_OBSERVATION_SETS,
                    help="sample the observation checks beyond this many sets")
     add_json(p)
     p.set_defaults(func=_cmd_verify)

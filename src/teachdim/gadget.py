@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InvalidArgumentError, InvariantError
+from .errors import CapacityError, InvalidArgumentError, InvariantError
 from .model import ConceptClass, _points, _taught
 
 DEFAULT_K_CAP = 6  # C(13, 6) = 1716 concepts at the cap
@@ -55,13 +55,17 @@ class GadgetReport:
 def build_gadget(k: int, *, cap: int = DEFAULT_K_CAP) -> Gadget:
     """All weight-k bit vectors of length 2k+1, ordered by their support sets.
 
-    k = 0 is rejected (a one-point, one-concept class is useless downstream)
-    and k above the cap is rejected to keep exhaustive verification cheap.
+    k = 0 is rejected (a one-point, one-concept class is useless downstream),
+    and k above the cap raises CapacityError to keep exhaustive verification
+    cheap.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidArgumentError(f"k must be a positive integer, got {k!r}")
     if k > cap:
-        raise InvalidArgumentError(f"k = {k} exceeds the gadget cap of {cap}")
+        raise CapacityError(
+            f"k = {k} exceeds the gadget cap of {cap} ({comb(2 * k + 1, k)} concepts); "
+            "raise the cap explicitly to force it"
+        )
     p = 2 * k + 1
     rows = []
     for support in itertools.combinations(range(p), k):

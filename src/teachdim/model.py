@@ -25,9 +25,9 @@ from .errors import (
 
 
 def _check_label(label: str, what: str) -> None:
-    if not label or label.split() != [label] or "#" in label:
+    if not isinstance(label, str) or not label or label.split() != [label] or "#" in label:
         raise InvalidArgumentError(
-            f"{what} label {label!r} must be non-empty, whitespace-free and '#'-free"
+            f"{what} label {label!r} must be a non-empty, whitespace-free and '#'-free string"
         )
 
 
@@ -40,14 +40,6 @@ def _bitstring(values: Iterable[int], what: str) -> str:
     if not all(map((0, 1).__contains__, values)):
         raise InvalidArgumentError(f"{what} has non-bit values")
     return bytes(map(bool, values)).translate(_BIT_CHARS).decode()
-
-
-@dataclass(frozen=True)
-class DomainPoint:
-    """One position of the domain: a dense 0-based index plus a stable name."""
-
-    index: int
-    label: str
 
 
 @dataclass(frozen=True, init=False)
@@ -96,28 +88,24 @@ class Concept:
 class ConceptClass:
     """An ordered set of distinct concepts over an ordered, labelled domain.
 
-    Invariants enforced at construction: domain indices are dense and in
-    order, all labels (domain and concept) are unique, every row has exactly
-    one bit per domain point, and no two rows are equal.  An empty domain
-    admits at most one concept (two would be equal rows).
+    `domain[i]` is the label of point i.  Invariants enforced at
+    construction: all labels (domain and concept) are unique, every row has
+    exactly one bit per domain point, and no two rows are equal.  An empty
+    domain admits at most one concept (two would be equal rows).
     """
 
-    domain: tuple[DomainPoint, ...]
+    domain: tuple[str, ...]
     concepts: tuple[Concept, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "concepts", tuple(self.concepts))
         seen_pt = set()
-        for i, pt in enumerate(self.domain):
-            if pt.index != i:
-                raise InvalidArgumentError(
-                    f"domain point {pt.label!r} has index {pt.index}, expected {i}"
-                )
-            _check_label(pt.label, "domain point")
-            if pt.label in seen_pt:
-                raise InvalidArgumentError(f"duplicate domain label {pt.label!r}")
-            seen_pt.add(pt.label)
+        for label in self.domain:
+            _check_label(label, "domain point")
+            if label in seen_pt:
+                raise InvalidArgumentError(f"duplicate domain label {label!r}")
+            seen_pt.add(label)
         width = len(self.domain)
         by_label: dict[str, int] = {}
         by_mask: dict[int, str] = {}
@@ -161,8 +149,7 @@ class ConceptClass:
             labels = parsed
         if len(labels) != len(parsed):
             raise InvalidArgumentError("one label per row required")
-        domain = tuple(DomainPoint(i, lab) for i, lab in enumerate(point_labels))
-        return cls(domain, tuple(map(Concept._from_bits, labels, parsed)))
+        return cls(tuple(point_labels), tuple(map(Concept._from_bits, labels, parsed)))
 
     # -- queries ---------------------------------------------------------------
 
@@ -400,7 +387,7 @@ def serialize_class(klass: ConceptClass) -> str:
     """Deterministic text form; parse_class(serialize_class(C)) == C."""
     lines = [f"{len(klass.concepts)} {klass.width}"]
     if klass.width > 0:
-        lines.append("labels: " + " ".join(pt.label for pt in klass.domain))
+        lines.append("labels: " + " ".join(klass.domain))
     for c in klass.concepts:
         lines.append(f"{c.label} {c.bitstring()}" if klass.width > 0 else c.label)
     return "\n".join(lines) + "\n"

@@ -33,7 +33,9 @@ from typing import Iterable, Sequence
 from .errors import InvalidArgumentError, InvariantError, SoundnessViolationError
 from .gadget import Gadget, build_gadget
 from .graph import Graph
-from .model import Concept, ConceptClass, TeachingPlan, _points, _taught, is_teaching_set
+from .model import Concept, ConceptClass, TeachingPlan, _check_indices, _points, _taught, is_teaching_set
+
+DEFAULT_MAX_OBSERVATION_SETS = 250_000
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ class ShinoharaResult:
 
 @dataclass(frozen=True)
 class ObservationReport:
-    """Result of replaying the two projection observations on sampled sets."""
+    """Result of replaying the two projection observations, exhaustively or on a sample."""
 
     sets_checked: int
     exhaustive: bool
@@ -253,10 +255,7 @@ def extract_domset(
         raise InvalidArgumentError(
             f"pattern {pattern!r} is not a gadget member of this reduction"
         ) from None
-    pts = tuple(sorted(set(points)))
-    for i in pts:
-        if not (0 <= i < out.klass.width):
-            raise InvalidArgumentError(f"point index {i} out of range")
+    pts = _check_indices(points, out.klass.width)
     if len(pts) > out.k:
         raise SoundnessViolationError(
             f"teaching set has size {len(pts)} > k = {out.k}"
@@ -288,13 +287,12 @@ def check_observations(
     out: ReductionOutput,
     *,
     max_size: int | None = None,
-    max_sets: int = 250_000,
-    seed: int = 0,
+    max_sets: int = DEFAULT_MAX_OBSERVATION_SETS,
 ) -> ObservationReport:
     """Replay the two block-projection facts the construction relies on.
 
     For point sets S up to size k+1 (exhaustively when the count fits in
-    `max_sets`, otherwise on a seeded deterministic sample):
+    `max_sets`, otherwise on a sample drawn from `random.Random(0)`):
 
       * S teaches a constraint concept within the constraint family iff the
         z-projection of S's VZ part teaches the pattern within the gadget;
@@ -338,7 +336,7 @@ def check_observations(
     if not exhaustive:
         # The empty set, then the sample, as point masks.  Sets are sorted and
         # duplicate-free, so a mask gives its tuple back.
-        rng = random.Random(seed)
+        rng = random.Random(0)
         set_masks = [0]
         for _ in range(max_sets):
             s = rng.randint(1, limit)
@@ -436,7 +434,7 @@ def metadata_json(out: ReductionOutput) -> str:
         "points": [
             {
                 "index": i,
-                "label": out.klass.domain[i].label,
+                "label": out.klass.domain[i],
                 "block": ref.block,
                 "vertex": ref.vertex,
                 "zpoint": ref.zpoint,

@@ -11,7 +11,6 @@ shares none of this, so it can check RTD independently.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import takewhile
@@ -162,25 +161,21 @@ def td_min(klass: ConceptClass) -> tuple[int, str]:
     return _first_extreme(klass, min, "TD_min")
 
 
-def rtd_decision(
-    klass: ConceptClass, k: int, *, rng: random.Random | None = None
-) -> tuple[bool, TeachingPlan | None]:
+def rtd_decision(klass: ConceptClass, k: int) -> tuple[bool, TeachingPlan | None]:
     """Decide RTD(klass) <= k by repeatedly stripping an easy-to-teach concept.
 
     Each round strips the first remaining concept, in class order, with a
     teaching set of size <= k against the remaining class.  Returns (True, plan)
     if the class empties, else (False, None).  The outcome does not depend on
-    the strip order; `rng`, when given, shuffles every round's scan order.
+    the strip order.
     """
     if k < 0:
         raise InvalidArgumentError("k must be non-negative")
-    _, plan = _strip_decision(klass, k, k, rng)
+    _, plan = _strip_decision(klass, k, k)
     return plan is not None, plan
 
 
-def _strip_decision(
-    klass: ConceptClass, k: int, top: int, rng: random.Random | None
-) -> tuple[int, TeachingPlan | None]:
+def _strip_decision(klass: ConceptClass, k: int, top: int) -> tuple[int, TeachingPlan | None]:
     """Strip as rtd_decision does, but when a round strips nothing raise k, up to `top`,
     to the least size its failed searches left open: no k in between strips anything.
     """
@@ -188,10 +183,9 @@ def _strip_decision(
     remaining = list(range(len(rows)))
     steps: list[tuple[str, tuple[int, ...]]] = []
     while remaining:
-        order = remaining if rng is None else rng.sample(remaining, len(remaining))
         alive = [rows[j] for j in remaining]
         bound = top
-        for ci in order:
+        for ci in remaining:
             size, witness = _min_hitting_set(_diffs(alive, rows[ci]), k)
             if witness is not None:
                 steps.append((klass.concepts[ci].label, witness))
@@ -217,7 +211,7 @@ def rtd(klass: ConceptClass) -> RtdResult:
     """
     n = len(klass.concepts)
     start = 0 if n < 2 else 1 if any(col.bit_count() in (1, n - 1) for col in klass.columns()) else 2
-    value, plan = _strip_decision(klass, start, klass.width, None)
+    value, plan = _strip_decision(klass, start, klass.width)
     return RtdResult(value, plan)
 
 

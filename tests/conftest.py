@@ -20,7 +20,6 @@ from teachdim import (
     Concept,
     ConceptClass,
     ConceptRef,
-    DomainPoint,
     GadgetReport,
     Graph,
     InvalidArgumentError,
@@ -288,7 +287,7 @@ def ref_shinohara_reduce(g):
     star = (1,) * g.n
     if star in rows:
         raise InvariantError("a vertex row is all-one")
-    domain = tuple(DomainPoint(i, g.vertex_label(i)) for i in range(g.n))
+    domain = tuple(g.vertex_label(i) for i in range(g.n))
     concepts = []
     merges = []
     for row in order:
@@ -319,15 +318,15 @@ def ref_domset_to_rtd(g, k):
     p, q = gadget.p, gadget.q
     patterns = [c.bitstring() for c in gadget.klass.concepts]
 
-    points: list[DomainPoint] = []
+    points: list[str] = []
     point_map: list[PointRef] = []
     for v in range(n):
         for z in range(p):
-            points.append(DomainPoint(len(points), f"(v{v + 1},z{z})"))
+            points.append(f"(v{v + 1},z{z})")
             point_map.append(PointRef("VZ", v, z))
     for z in range(p):
         for v in range(n):
-            points.append(DomainPoint(len(points), f"(z{z},v{v + 1})"))
+            points.append(f"(z{z},v{v + 1})")
             point_map.append(PointRef("ZV", v, z))
 
     # Row slices follow the point order above: VZ v-major, then ZV z-major.

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from teachdim import (
+    CapacityError,
     ConceptClass,
     Gadget,
     GadgetReport,
@@ -58,7 +59,7 @@ def test_k0_rejected():
 
 
 def test_cap_rejected():
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(CapacityError, match="raise the cap explicitly"):
         build_gadget(7)
     g = build_gadget(7, cap=7)  # explicit raise allowed
     assert g.q == comb(15, 7)

@@ -97,6 +97,11 @@ def test_labels_must_be_clean():
         make_class(["10"], labels=["has space"])
     with pytest.raises(InvalidArgumentError):
         make_class(["10"], labels=["ha#sh"])
+    # A label that is not a string, such as an int, is rejected the same way.
+    with pytest.raises(InvalidArgumentError):
+        make_class(["1"], point_labels=[5])
+    with pytest.raises(InvalidArgumentError):
+        make_class(["1"], labels=[7])
 
 
 def test_wide_classes_supported():
@@ -223,13 +228,13 @@ def test_parse_basic():
     assert len(klass.concepts) == 2
     assert klass.width == 3
     assert klass.concept("A").values == (1, 0, 1)
-    assert [p.label for p in klass.domain] == ["x0", "x1", "x2"]
+    assert klass.domain == ("x0", "x1", "x2")
 
 
 def test_parse_labels_line_and_comments():
     text = "# a class\n2 2\nlabels: left right\nA 10  # row A\nB 01\n"
     klass = parse_class(text)
-    assert [p.label for p in klass.domain] == ["left", "right"]
+    assert klass.domain == ("left", "right")
     assert klass.concept("B").values == (0, 1)
 
 

@@ -85,19 +85,33 @@ def test_cli_writes_files_only_through_write():
     assert [node.lineno for node in calls if id(node) not in inside] == []
 
 
+def _imported(module: str) -> list[str]:
+    """"<module>.<name>" for each from-import of a package module, the module for each import."""
+    path = Path(teachdim.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{node.module or ''}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+
+
 def test_gadget_check_calls_no_solver():
     # `verify_gadget` cross-checks the solver's answers on the gadget, so
     # gadget.py may import nothing from teaching.py.
-    path = Path(teachdim.__file__).parent / "gadget.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    imported = []  # "<module>.<name>" for each from-import, the module for each import
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
-        elif isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
+    imported = _imported("gadget")
     assert "model._taught" in imported
     assert [name for name in imported if "teaching" in name.split(".")] == []
+
+
+def test_solver_draws_no_random_numbers():
+    # Every `ts`, `td`, `tdmin` and `rtd` result is reproducible, so teaching.py
+    # may import nothing from `random`; order independence is tested by
+    # shuffling the class instead.
+    imported = _imported("teaching")
+    assert "dataclasses.dataclass" in imported
+    assert [name for name in imported if name.split(".")[0] == "random"] == []
 
 
 def test_imports_stay_within_the_standard_set():
@@ -123,13 +137,6 @@ def test_imports_stay_within_the_standard_set():
 def test_observation_replay_calls_no_solver():
     # `verify` sets the observation replay beside the solver's verdict, so
     # reduction.py, like gadget.py, may import nothing from teaching.py.
-    path = Path(teachdim.__file__).parent / "reduction.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    imported = [
-        f"{node.module or ''}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-    ]
+    imported = _imported("reduction")
     assert "model._taught" in imported
     assert [name for name in imported if "teaching" in name.split(".")] == []
