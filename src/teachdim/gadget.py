@@ -62,10 +62,7 @@ def build_gadget(k: int, *, cap: int = DEFAULT_K_CAP) -> Gadget:
     if not isinstance(k, int) or k < 1:
         raise InvalidArgumentError(f"k must be a positive integer, got {k!r}")
     if k > cap:
-        raise CapacityError(
-            f"k = {k} exceeds the gadget cap of {cap} ({comb(2 * k + 1, k)} concepts); "
-            "raise the cap explicitly to force it"
-        )
+        raise CapacityError(f"k = {k} exceeds the gadget cap of {cap}")
     p = 2 * k + 1
     rows = []
     for support in itertools.combinations(range(p), k):

@@ -217,9 +217,13 @@ class TeachingPlan:
 
 
 def _check_indices(points: Iterable[int], width: int) -> tuple[int, ...]:
-    pts = tuple(sorted(set(points)))
+    seen = set(points)
+    for i in seen:
+        if not isinstance(i, int):
+            raise InvalidArgumentError(f"point index {i!r} is not an integer")
+    pts = tuple(sorted(seen))
     for i in pts:
-        if not isinstance(i, int) or i < 0 or i >= width:
+        if i < 0 or i >= width:
             raise InvalidArgumentError(f"point index {i} out of range [0, {width})")
     return pts
 

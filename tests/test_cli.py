@@ -152,10 +152,11 @@ def test_gadget_zero_exit_2(workdir, capsys):
 
 def test_gadget_above_the_cap_exit_3(workdir, capsys):
     # The cap is a budget, as `rtd-oracle --cap` is, not a usage error.
-    code, out, err = run(capsys, "gadget", "7")
-    assert code == 3
-    assert out == ""
-    assert "exceeds the gadget cap of 6" in err
+    for k in ("7", "100000"):
+        code, out, err = run(capsys, "gadget", k)
+        assert code == 3
+        assert out == ""
+        assert f"k = {k} exceeds the gadget cap of 6" in err
 
 
 # -- reduce ----------------------------------------------------------------------

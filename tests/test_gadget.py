@@ -59,7 +59,7 @@ def test_k0_rejected():
 
 
 def test_cap_rejected():
-    with pytest.raises(CapacityError, match="raise the cap explicitly"):
+    with pytest.raises(CapacityError, match="k = 7 exceeds the gadget cap of 6"):
         build_gadget(7)
     g = build_gadget(7, cap=7)  # explicit raise allowed
     assert g.q == comb(15, 7)

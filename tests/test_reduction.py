@@ -278,7 +278,7 @@ def test_extract_rejects_oversized_set():
 
 def test_extract_rejects_bad_point_indices():
     out = domset_to_rtd(K3, 1)
-    for points in [(999,), (-1,), ("a",)]:
+    for points in [(999,), (-1,), ("a",), ("a", 0)]:
         with pytest.raises(InvalidArgumentError):
             extract_domset(out, "100", points)
 
