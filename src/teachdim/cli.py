@@ -33,6 +33,7 @@ from .graph import gen_random_graph, has_dominating_set, parse_graph, serialize_
 from .model import check_plan, parse_class, parse_plan, serialize_class, serialize_plan
 from .reduction import (
     DEFAULT_MAX_OBSERVATION_SETS,
+    _check_instance,
     check_observations,
     domset_to_rtd,
     extract_domset,
@@ -230,10 +231,7 @@ def _cmd_verify(args, report: dict) -> tuple[int, list[str]]:
     g = parse_graph(_read(args.graphfile, report))
     k = args.k
     # Parameter violations (exit 2) outrank the budget gate (exit 3).
-    if g.n < 2:
-        raise InvalidArgumentError("reduction requires at least 2 vertices")
-    if not (1 <= k <= g.n):
-        raise InvalidArgumentError(f"k must lie in 1..{g.n}, got {k}")
+    _check_instance(g.n, k)
     if (g.n > VERIFY_MAX_VERTICES or k > VERIFY_MAX_K) and not args.budget_override:
         raise CapacityError(
             f"verify is budgeted for N <= {VERIFY_MAX_VERTICES}, k <= {VERIFY_MAX_K}; "
@@ -286,10 +284,9 @@ def _cmd_verify(args, report: dict) -> tuple[int, list[str]]:
             if width > k:
                 problems.append(f"witness plan width {width} exceeds k")
         lap("witness_plan")
-        first_pattern = out.concept_map[0][1].pattern
-        ts = min_teaching_set(out.klass.concept(out.constraint_label(first_pattern)), out.klass)
+        ts = min_teaching_set(out.klass.concepts[0], out.klass)
         try:
-            extracted = extract_domset(out, first_pattern, ts.witness)
+            extracted = extract_domset(out, out.concept_map[0][1].pattern, ts.witness)
             report["extracted_dominating_set"] = list(extracted)
             human.append(
                 "extracted dominating set: "
@@ -361,8 +358,8 @@ def _cmd_bench(args, report: dict) -> tuple[int, list[str]]:
     rows = ["N,k,concepts,points,rtd,milliseconds"]
     for k in ranges["k"]:
         for n in ranges["N"]:
-            if k > n:
-                print(f"skipping N={n} k={k} (k > N)", file=sys.stderr)
+            if n < 2 or k > n:
+                print(f"skipping N={n} k={k} ({'N < 2' if n < 2 else 'k > N'})", file=sys.stderr)
                 continue
             g = gen_random_graph(n, args.edge_probability, args.seed)
             out, build_ms = _timed(domset_to_rtd, g, k)

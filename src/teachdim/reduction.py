@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 from .errors import InvalidArgumentError, InvariantError, SoundnessViolationError
 from .gadget import Gadget, build_gadget
 from .graph import Graph
-from .model import Concept, ConceptClass, TeachingPlan, _check_indices, _points, _taught, is_teaching_set
+from .model import ConceptClass, TeachingPlan, _check_indices, _points, _taught, is_teaching_set
 
 DEFAULT_MAX_OBSERVATION_SETS = 250_000
 
@@ -83,9 +83,6 @@ class ReductionOutput:
 
     def constraint_label(self, pattern: str) -> str:
         return f"h{pattern}"
-
-    def vertex_concept_label(self, u: int, pattern: str) -> str:
-        return f"{self.graph.vertex_label(u)}.h{pattern}"
 
 
 @dataclass(frozen=True)
@@ -153,6 +150,14 @@ def shinohara_reduce(g: Graph) -> ShinoharaResult:
     return ShinoharaResult(klass, star_label, merges)
 
 
+def _check_instance(n: int, k: int) -> None:
+    """Reject an instance the reduction does not take: it needs N >= 2 and 1 <= k <= N."""
+    if n < 2:
+        raise InvalidArgumentError("reduction requires at least 2 vertices")
+    if not (1 <= k <= n):
+        raise InvalidArgumentError(f"k must lie in 1..{n}, got {k}")
+
+
 def domset_to_rtd(g: Graph, k: int) -> ReductionOutput:
     """Build the reduced concept class for the instance (g, k).
 
@@ -161,10 +166,7 @@ def domset_to_rtd(g: Graph, k: int) -> ReductionOutput:
     class's recursive teaching dimension is <= k.
     """
     n = g.n
-    if n < 2:
-        raise InvalidArgumentError("reduction requires at least 2 vertices")
-    if not (1 <= k <= n):
-        raise InvalidArgumentError(f"k must lie in 1..{n}, got {k}")
+    _check_instance(n, k)
     gadget = build_gadget(k)
     p, q = gadget.p, gadget.q
     patterns = [c.bitstring() for c in gadget.klass.concepts]
@@ -220,18 +222,12 @@ def witness_plan(out: ReductionOutput, dominating: Iterable[int]) -> TeachingPla
         )
     if not out.graph.dominated_by(T):
         raise InvalidArgumentError(f"{[out.graph.vertex_label(v) for v in T]} does not dominate the graph")
-    steps: list[tuple[str, tuple[int, ...]]] = []
-    patterns = map(Concept.bitstring, out.gadget.klass.concepts)
-    members = [(pat, tuple(z for z, bit in enumerate(pat) if bit == "1")) for pat in patterns]
-    for pat, sup in members:
-        pairs = zip(T, sup, strict=True)
-        steps.append((out.constraint_label(pat), tuple(out.vz_index(v, z) for v, z in pairs)))
-    for u in range(out.graph.n):
-        for pat, sup in members:
-            steps.append(
-                (out.vertex_concept_label(u, pat), tuple(out.zv_index(z, u) for z in sup))
-            )
-    return TeachingPlan(tuple(steps))
+    # `concept_map` is in class order: the constraints, then each vertex's
+    # family, both in gadget order.
+    sups = [tuple(_points(c.mask())) for c in out.gadget.klass.concepts]
+    sets = [tuple(out.vz_index(v, z) for v, z in zip(T, sup, strict=True)) for sup in sups]
+    sets += [tuple(out.zv_index(z, u) for z in sup) for u in range(out.graph.n) for sup in sups]
+    return TeachingPlan(tuple(zip((label for label, _ in out.concept_map), sets, strict=True)))
 
 
 def extract_domset(
@@ -286,7 +282,6 @@ def extract_domset(
 def check_observations(
     out: ReductionOutput,
     *,
-    max_size: int | None = None,
     max_sets: int = DEFAULT_MAX_OBSERVATION_SETS,
 ) -> ObservationReport:
     """Replay the two block-projection facts the construction relies on.
@@ -324,11 +319,9 @@ def check_observations(
     """
     if max_sets < 0:
         raise InvalidArgumentError(f"max_sets must be >= 0, got {max_sets}")
-    if max_size is not None and max_size < 0:
-        raise InvalidArgumentError(f"max_size must be >= 0, got {max_size}")
     width = out.klass.width
-    # No set is larger than the domain, so a larger cap means the width.
-    limit = min(out.k + 1 if max_size is None else max_size, width)
+    # No set is larger than the domain.
+    limit = min(out.k + 1, width)
     total = sum(comb(width, s) for s in range(limit + 1))
     exhaustive = total <= max_sets
     bits = [1 << i for i in range(width)]

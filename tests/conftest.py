@@ -152,14 +152,14 @@ def bf_verify_gadget(g) -> GadgetReport:
     return GadgetReport(1 not in fails, 2 not in fails, 3 not in fails, first)
 
 
-def ref_check_observations(out, *, max_size=None, max_sets=250_000, seed=0):
+def ref_check_observations(out, *, max_sets=250_000):
     """The observation replay pair by pair, straight from its statement.
 
     For every concept in class order and every candidate set in order, it
     rebuilds the set's mask and z-projection and compares the two teaching
     tests; `check_observations` must return an equal report on every input.
     """
-    limit = out.k + 1 if max_size is None else max_size
+    limit = out.k + 1
     width = out.klass.width
     total = sum(comb(width, s) for s in range(limit + 1))
     exhaustive = total <= max_sets
@@ -170,7 +170,7 @@ def ref_check_observations(out, *, max_size=None, max_sets=250_000, seed=0):
             for combo in itertools.combinations(range(width), s)
         ]
     else:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         candidate_sets = [()]
         for _ in range(max_sets):
             s = rng.randint(1, limit)

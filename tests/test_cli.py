@@ -7,10 +7,12 @@ import pytest
 
 from teachdim import (
     CapacityError,
+    GadgetReport,
     InvalidArgumentError,
     InvalidPlanError,
     InvariantError,
     MalformedPlanError,
+    ObservationReport,
     ParseError,
     SoundnessViolationError,
     TeachdimError,
@@ -122,6 +124,15 @@ def test_rtd_oracle_ok(workdir, capsys):
     assert "RTD (subset oracle) = 1" in out
 
 
+def test_rtd_oracle_cap_0(workdir, capsys):
+    # A cap of 0 refuses every nonempty class but still admits the empty one.
+    code, out, err = run(capsys, "rtd-oracle", "pointclass.txt", "--cap", "0")
+    assert (code, out) == (3, "")
+    assert "subset oracle over 4 concepts exceeds the cap of 0" in err
+    (workdir / "none.txt").write_text("0 2\n")
+    assert run(capsys, "rtd-oracle", "none.txt", "--cap", "0") == (0, "RTD (subset oracle) = 0\n", "")
+
+
 def test_parse_error_exit_2(workdir, capsys):
     (workdir / "junk.txt").write_text("not a class\n")
     code, _, err = run(capsys, "td", "junk.txt")
@@ -137,6 +148,19 @@ def test_gadget_with_verify(workdir, capsys):
     assert code == 0
     assert out.startswith("3 3\nlabels: z0 z1 z2\n")
     assert "properties 1,2,3: PASS" in err
+
+
+def test_gadget_verify_counterexample_exit_1(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "teachdim.cli.verify_gadget", lambda g: GadgetReport(True, False, True, (2, "100", (1,)))
+    )
+    code, out, err = run(capsys, "gadget", "1", "--verify")
+    assert code == 1
+    assert out.startswith("3 3\nlabels: z0 z1 z2\n")
+    assert err == (
+        "property 1: PASS\nproperty 2: FAIL\nproperty 3: PASS\n"
+        "counterexample: property 2, concept 100, points [1]\n"
+    )
 
 
 def test_gadget_k2_shape(workdir, capsys):
@@ -242,6 +266,44 @@ def test_verify_invalid_witness_plan_is_a_violation(workdir, capsys, monkeypatch
     assert rep["extracted_dominating_set"] == [0]
 
 
+def _widened(out, witness):
+    """The witness plan with one more point in its first step: still valid, but of width 2."""
+    (label, pts), *rest = witness_plan(out, witness).steps
+    return TeachingPlan(((label, (*pts, out.klass.width - 1)), *rest))
+
+
+def _unsound(out, pattern, points):
+    raise SoundnessViolationError("forced")
+
+
+@pytest.mark.parametrize(
+    "name, fake, problem",
+    [
+        ("witness_plan", _widened, "witness plan width 2 exceeds k"),
+        ("extract_domset", _unsound, "soundness extraction failed: forced"),
+        (
+            "check_observations",
+            lambda out, max_sets: ObservationReport(7, True, ("h100", (0,))),
+            "observation counterexample: ('h100', (0,))",
+        ),
+        (
+            "rtd_decision",
+            lambda klass, k: (False, None),
+            "dominating-set answer and RTD decision disagree",
+        ),
+    ],
+)
+def test_verify_failed_check_is_a_violation(workdir, capsys, monkeypatch, name, fake, problem):
+    monkeypatch.setattr(f"teachdim.cli.{name}", fake)
+    code, out, err = run(capsys, "verify", "k3.graph", "1")
+    assert (code, err) == (1, "")
+    assert out.endswith(f"verdict: VIOLATION\n  problem: {problem}\n")
+    code, out, err = run(capsys, "verify", "k3.graph", "1", "--json")
+    assert (code, err) == (1, "")
+    rep = json.loads(out)
+    assert (rep["verdict"], rep["problems"]) == ("VIOLATION", [problem])
+
+
 def test_verify_negative_observation_cap_exit_2(workdir, capsys):
     code, out, err = run(capsys, "verify", "k3.graph", "1", "--max-observation-sets", "-5")
     assert code == 2
@@ -298,6 +360,14 @@ def test_bench_default_sweep(workdir, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "N,k,concepts,points,rtd,milliseconds"
     assert len(lines) == 9  # header + 8 rows
+
+
+def test_bench_skips_n_below_2(workdir, capsys):
+    code, out, err = run(capsys, "bench", "N=1..2", "k=1")
+    assert code == 0
+    assert err == "skipping N=1 k=1 (N < 2)\n"
+    header, *rows = out.splitlines()
+    assert [row.split(",")[:2] for row in rows] == [["2", "1"]]
 
 
 def test_bench_bad_sweep_exit_2(workdir, capsys):

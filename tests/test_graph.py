@@ -110,6 +110,12 @@ def test_gen_validates_probability():
         gen_random_graph(4, 1.5, 0)
 
 
+@pytest.mark.parametrize("build", [lambda: Graph(-1, frozenset()), lambda: gen_random_graph(-1, 0.5, 0)])
+def test_negative_vertex_count_rejected(build):
+    with pytest.raises(InvalidArgumentError, match="vertex count must be non-negative"):
+        build()
+
+
 # -- text format -------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,23 @@ def test_duplicate_labels_rejected():
 def test_row_width_must_match_domain():
     with pytest.raises(InvalidArgumentError):
         ConceptClass.from_rows(["10", "011"])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ConceptClass(("p", "p"), ()), "duplicate domain label 'p'"),
+        (lambda: ConceptClass.from_rows(["012"]), "row '012' is not a bitstring"),
+        (lambda: ConceptClass.from_rows(["10", "01"], labels=["a"]), "one label per row required"),
+    ],
+)
+def test_bad_class_arguments_rejected(build, message):
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        build()
+
+
+def test_columns_of_a_class_without_concepts():
+    assert ConceptClass(("p", "q"), ()).columns() == [0, 0]
 
 
 def test_empty_domain_single_concept_ok():

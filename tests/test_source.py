@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -40,9 +41,8 @@ def test_only_model_reads_concept_values():
     assert found == []
 
 
-def test_every_export_has_a_caller():
-    # A public name must be read somewhere in the package or shown in the
-    # README's tour, so that dead API cannot pile up behind `__all__`.
+def _read_in_package() -> set[str]:
+    """Every name and attribute name that the package reads outside `__init__.py`."""
     read = set()
     for path in SOURCES:
         if path.name == "__init__.py":
@@ -52,9 +52,31 @@ def test_every_export_has_a_caller():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def test_every_export_has_a_caller():
+    # A public name must be read somewhere in the package or shown in the
+    # README's tour, so that dead API cannot pile up behind `__all__`.
     readme = Path(__file__).parent.parent / "README.md"
     shown = set(re.findall(r"\btd\.(\w+)", readme.read_text()))
-    assert [name for name in teachdim.__all__ if name not in read | shown] == []
+    assert [name for name in teachdim.__all__ if name not in _read_in_package() | shown] == []
+
+
+def test_every_public_member_has_a_caller():
+    # Likewise a public method or property of an exported class must be read
+    # somewhere in the package, by name, so a member cannot outlive its last caller.
+    members = [
+        f"{name}.{attr}"
+        for name in teachdim.__all__
+        if inspect.isclass(cls := getattr(teachdim, name))
+        for attr, member in vars(cls).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(member) or isinstance(member, (property, classmethod, staticmethod)))
+    ]
+    assert "ReductionOutput.zv_index" in members
+    read = _read_in_package()
+    assert [m for m in members if m.split(".")[1] not in read] == []
 
 
 def test_subset_oracle_shares_nothing_with_the_kernel():

@@ -380,6 +380,14 @@ def test_oracle_singleton():
     assert rtd_oracle_subsets(make_class(["1"], labels=["c"])) == 0
 
 
+def test_oracle_empty_class():
+    # No subclass to decide, so RTD 0, even under a cap of 0.
+    empty = ConceptClass(("p", "q"), ())
+    assert rtd_oracle_subsets(empty) == rtd_oracle_subsets(empty, cap=0) == 0
+    with pytest.raises(CapacityError):
+        rtd_oracle_subsets(make_class(["1"], labels=["c"]), cap=0)
+
+
 def test_oracle_cap_enforced():
     rows = [f"{i:016b}" for i in range(16)]
     klass = make_class(rows)
