@@ -314,8 +314,12 @@ def check_observations(
     family, on its classes' lowest points.  In exhaustive mode that set is
     the first candidate touching exactly those classes (any other is, point
     by point, at least as high), so its size-then-lex index gives
-    `sets_checked` and no candidate is listed; a sampled set maps to the
-    class set of its key.
+    `sets_checked` and no candidate is listed.  A sampled set can fail only
+    if its class set does, so a family whose class sets fit in `max_sets`
+    (an untampered one has 2k+1 classes) decides them all, and the sample,
+    drawn once per call, only locates a failing one: an untampered
+    reduction's replay draws no random numbers.  A family with more class
+    sets (only a tampered class has one) decides just the sampled ones.
     """
     if max_sets < 0:
         raise InvalidArgumentError(f"max_sets must be >= 0, got {max_sets}")
@@ -326,14 +330,24 @@ def check_observations(
     exhaustive = total <= max_sets
     bits = [1 << i for i in range(width)]
     n_sets = total if exhaustive else max_sets + 1
-    if not exhaustive:
-        # The empty set, then the sample, as point masks.  Sets are sorted and
-        # duplicate-free, so a mask gives its tuple back.
-        rng = random.Random(0)
-        set_masks = [0]
-        for _ in range(max_sets):
-            s = rng.randint(1, limit)
-            set_masks.append(sum(bits[i] for i in rng.sample(range(width), s)))
+    set_masks: list[int] = []  # the empty set, then the sample, drawn on first use
+
+    def first_sampled(keymask: int, low: dict[int, int]) -> dict[int, tuple[int, int]]:
+        # Class set -> (index, mask) of the first sampled set touching exactly
+        # it.  Sets are sorted and duplicate-free, so a mask gives its tuple back.
+        if not set_masks:
+            rng = random.Random(0)
+            set_masks.append(0)
+            for _ in range(max_sets):
+                s = rng.randint(1, limit)
+                set_masks.append(sum(bits[i] for i in rng.sample(range(width), s)))
+        first: dict[int, tuple[int, int]] = {}
+        # Built from the last set to the first, so each key keeps its first index.
+        keys = dict(zip(map(keymask.__and__, reversed(set_masks)), range(n_sets - 1, -1, -1)))
+        for key, idx in keys.items():
+            classes = sum({low[i] for i in _points(key)})
+            first[classes] = min(first.get(classes, (n_sets, 0)), (idx, set_masks[idx]))
+        return first
 
     gmasks = [c.mask() for c in out.gadget.klass.concepts]
     pattern_index = {c.bitstring(): i for i, c in enumerate(out.gadget.klass.concepts)}
@@ -364,27 +378,29 @@ def check_observations(
             column = tuple(row >> i & 1 for row in rows)
             low[i] = lowest.setdefault((column, zbit[i] if sel >> i & 1 else 0), bits[i])
         # Each class set, as the mask of its classes' lowest points, maps to
-        # (index, mask) of the first candidate set that touches exactly it; in
-        # exhaustive mode that set is the class set itself, ranked if it fails.
-        if exhaustive:
-            reps = sorted(lowest.values())
+        # (index, mask) of the first candidate set that touches exactly it.
+        # The count of class sets fits in `max_sets` whenever `total` does.
+        reps = sorted(lowest.values())
+        if sum(comb(len(reps), s) for s in range(limit + 1)) <= max_sets:
             first = dict.fromkeys(sum(c) for s in range(limit + 1) for c in itertools.combinations(reps, s))
         else:
-            first = {}
-            # Built from the last set to the first, so each key keeps its first index.
-            keys = dict(zip(map(keymask.__and__, reversed(set_masks)), range(n_sets - 1, -1, -1)))
-            for key, idx in keys.items():
-                classes = sum({low[i] for i in _points(key)})
-                first[classes] = min(first.get(classes, (n_sets, 0)), (idx, set_masks[idx]))
+            first = first_sampled(keymask, low)
         gis = [pattern_index[out.concept_map[ci][1].pattern] for ci in family]
         zmasks = [sum({zbit[i] for i in _points(classes & sel)}) for classes in first]
         zs = [z for z in dict.fromkeys(zmasks) if z not in gadget_taught]
         gadget_taught.update(zip(zs, _taught(gmasks, zs)))
         rhs_of = {z: [gadget_taught[z][gi] for gi in gis] for z in set(zmasks)}
+        located = None
         for classes, lhs, zmask in zip(first, _taught(rows, first), zmasks):
             rhs = rhs_of[zmask]
             if lhs != rhs:
-                found = first[classes] or (_set_index(list(_points(classes)), width), classes)
+                found = first[classes]
+                if exhaustive:
+                    found = (_set_index(list(_points(classes)), width), classes)
+                elif found is None:
+                    located = located or first_sampled(keymask, low)
+                    if (found := located.get(classes)) is None:
+                        continue  # no sampled set touches exactly these classes
                 for ci, left, right in zip(family, lhs, rhs):
                     if left != right:
                         first_fail[ci] = min(first_fail.get(ci, found), found)

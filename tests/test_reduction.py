@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import tracemalloc
+import types
 from math import comb
 
 import pytest
@@ -29,6 +30,7 @@ from teachdim import (
     shinohara_reduce,
     witness_plan,
 )
+from teachdim import reduction
 from teachdim.reduction import _set_index
 from conftest import (
     all_labeled_graphs,
@@ -306,6 +308,8 @@ def test_observations_sampled_mode():
     out = domset_to_rtd(K3, 1)
     report = check_observations(out, max_sets=50)
     assert report.ok and not report.exhaustive
+    assert report.sets_checked == 12 * 51
+    assert report.counterexample is None
 
 
 def test_observation_singleton_case():
@@ -381,6 +385,52 @@ def test_observations_pinned_counterexample(label, zv, kwargs, expected):
     index = out.zv_index(1, 2) if zv else out.vz_index(0, 1)
     report = check_observations(_flip(out, label, index), **kwargs)
     assert (report.sets_checked, report.exhaustive, report.counterexample) == expected
+
+
+def _pinned_flips():
+    """K3 at k = 1, clean and with each pinned tampered bit."""
+    out = domset_to_rtd(K3, 1)
+    return {
+        "clean": out,
+        "h010": _flip(out, "h010", out.zv_index(1, 2)),
+        "v2.h001": _flip(out, "v2.h001", out.vz_index(0, 1)),
+    }
+
+
+def test_observations_equal_the_reference_across_the_budget():
+    # Each tampered family has 4 classes, so 11 class sets.  Below 11 the
+    # sample alone is replayed; from 11 every class set is decided and the
+    # sample only locates a failure: sampled set 12 is the first to touch
+    # h010's failing class set, so cap 11 misses it, and sampled set 1
+    # touches v2.h001's.
+    ok_caps = {}
+    for case, out in _pinned_flips().items():
+        ok_caps[case] = []
+        for max_sets in range(41):
+            report = check_observations(out, max_sets=max_sets)
+            assert report == ref_check_observations(out, max_sets=max_sets), (case, max_sets)
+            if report.ok:
+                ok_caps[case].append(max_sets)
+    assert ok_caps == {"clean": list(range(41)), "h010": list(range(12)), "v2.h001": [0]}
+
+
+def test_observations_sample_only_to_locate_a_failure(monkeypatch):
+    draws = []
+
+    def counting_random(seed):
+        draws.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(reduction, "random", types.SimpleNamespace(Random=counting_random))
+    path5 = Graph.from_edges(5, [(v, v + 1) for v in range(4)])
+    for out, max_sets in [(domset_to_rtd(K3, 1), 50), (domset_to_rtd(path5, 2), 2000)]:
+        report = check_observations(out, max_sets=max_sets)
+        assert report.ok and not report.exhaustive
+        assert report.sets_checked == len(out.klass.concepts) * (max_sets + 1)
+    assert draws == []
+    report = check_observations(_pinned_flips()["h010"], max_sets=50)
+    assert (report.sets_checked, report.exhaustive, report.counterexample) == (26, False, ("h100", (2, 14)))
+    assert draws == [0]
 
 
 def test_set_index_is_the_position_in_size_then_lex_order():
