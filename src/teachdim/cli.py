@@ -44,9 +44,9 @@ from .reduction import (
 )
 from .teaching import (
     DEFAULT_SUBSET_ORACLE_CAP,
+    _strip_decision,
     min_teaching_set,
     rtd,
-    rtd_decision,
     rtd_oracle_subsets,
     td_min,
     teaching_dim,
@@ -256,7 +256,8 @@ def _cmd_verify(args, report: dict) -> tuple[int, list[str]]:
     if dom and not g.dominated_by(witness):
         raise InvariantError(f"dominating-set search returned a non-dominating witness {witness}")
     lap("domset")
-    decided, _ = rtd_decision(out.klass, k)
+    # The lex-min plan goes unread, so the decision skips building it.
+    decided = _strip_decision(out.klass, k, k, lex=False)[1] is not None
     lap("decision")
     report |= {
         "k": k,

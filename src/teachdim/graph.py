@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import InvalidArgumentError, ParseError
 from .model import _header

@@ -13,8 +13,8 @@ threads; all operations are pure functions of their inputs.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     InvalidArgumentError,

@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError, InvariantError, SoundnessViolationError
 from .gadget import Gadget, build_gadget
@@ -320,6 +320,12 @@ def check_observations(
     drawn once per call, only locates a failing one: an untampered
     reduction's replay draws no random numbers.  A family with more class
     sets (only a tampered class has one) decides just the sampled ones.
+
+    The verdicts read only a family's shape: its classes (column and z-bit),
+    its concepts' gadget members and, when only sampled class sets are
+    decided, those sets.  Each distinct shape is decided once per call, one
+    for all N+1 families of an untampered reduction, and a failing class set
+    is mapped back to the family's own points only to locate it.
     """
     if max_sets < 0:
         raise InvalidArgumentError(f"max_sets must be >= 0, got {max_sets}")
@@ -345,8 +351,8 @@ def check_observations(
         # Built from the last set to the first, so each key keeps its first index.
         keys = dict(zip(map(keymask.__and__, reversed(set_masks)), range(n_sets - 1, -1, -1)))
         for key, idx in keys.items():
-            classes = sum({low[i] for i in _points(key)})
-            first[classes] = min(first.get(classes, (n_sets, 0)), (idx, set_masks[idx]))
+            cs = sum({low[i] for i in _points(key)})
+            first[cs] = min(first.get(cs, (n_sets, 0)), (idx, set_masks[idx]))
         return first
 
     gmasks = [c.mask() for c in out.gadget.klass.concepts]
@@ -360,6 +366,7 @@ def check_observations(
 
     first_fail: dict[int, tuple[int, int]] = {}  # concept -> (index, mask) of its first failing set
     gadget_taught: dict[int, list[bool]] = {}  # z-mask -> which gadget members it teaches
+    failing: dict[tuple, list[tuple[int, list[int]]]] = {}  # shape -> (class set, family positions)
     for vertex, family in families.items():
         rows = [masks[cj] for cj in family]
         support = 0
@@ -371,39 +378,51 @@ def check_observations(
             sel = sum(1 << out.zv_index(z, vertex) for z in range(out.p))
         keymask = support | sel
         # A key point's class is its column over the rows and its z-bit (0
-        # outside sel); `low` maps each key point to its class's lowest point.
+        # outside sel).  Class j, the j-th by lowest point, is bit j of a
+        # class set; `low` maps each key point to its class's bit.
+        classes: dict[tuple, int] = {}  # (column, z-bit) -> bit
         low: dict[int, int] = {}
-        lowest: dict[tuple, int] = {}
+        lowest: dict[int, int] = {}  # bit -> the class's lowest point
         for i in _points(keymask):
             column = tuple(row >> i & 1 for row in rows)
-            low[i] = lowest.setdefault((column, zbit[i] if sel >> i & 1 else 0), bits[i])
-        # Each class set, as the mask of its classes' lowest points, maps to
-        # (index, mask) of the first candidate set that touches exactly it.
-        # The count of class sets fits in `max_sets` whenever `total` does.
-        reps = sorted(lowest.values())
-        if sum(comb(len(reps), s) for s in range(limit + 1)) <= max_sets:
-            first = dict.fromkeys(sum(c) for s in range(limit + 1) for c in itertools.combinations(reps, s))
-        else:
-            first = first_sampled(keymask, low)
-        gis = [pattern_index[out.concept_map[ci][1].pattern] for ci in family]
-        zmasks = [sum({zbit[i] for i in _points(classes & sel)}) for classes in first]
-        zs = [z for z in dict.fromkeys(zmasks) if z not in gadget_taught]
-        gadget_taught.update(zip(zs, _taught(gmasks, zs)))
-        rhs_of = {z: [gadget_taught[z][gi] for gi in gis] for z in set(zmasks)}
+            low[i] = classes.setdefault((column, zbit[i] if sel >> i & 1 else 0), bits[len(classes)])
+            lowest.setdefault(low[i], i)
+        # A family whose class sets fit in `max_sets` (they do whenever
+        # `total` does) decides them all; otherwise each sampled one maps to
+        # (index, mask) of the first sampled set that touches exactly it.
+        fits = sum(comb(len(classes), s) for s in range(limit + 1)) <= max_sets
+        first = None if fits else first_sampled(keymask, low)
+        # The verdicts read only the shape, so each distinct one is decided once.
+        gis = tuple(pattern_index[out.concept_map[ci][1].pattern] for ci in family)
+        shape = (tuple(classes), gis, first and tuple(first))
+        if shape not in failing:
+            class_bits = bits[: len(classes)]
+            sets = first or [sum(c) for s in range(limit + 1) for c in itertools.combinations(class_bits, s)]
+            crows = [sum(b for (column, _), b in classes.items() if column[r]) for r in range(len(rows))]
+            class_z = [z for _, z in classes]
+            zmasks = [sum({class_z[j] for j in _points(c)}) for c in sets]
+            zs = [z for z in dict.fromkeys(zmasks) if z not in gadget_taught]
+            gadget_taught.update(zip(zs, _taught(gmasks, zs)))
+            rhs_of = {z: [gadget_taught[z][gi] for gi in gis] for z in set(zmasks)}
+            failing[shape] = [
+                (c, [pos for pos, (left, right) in enumerate(zip(lhs, rhs_of[z])) if left != right])
+                for c, lhs, z in zip(sets, _taught(crows, sets), zmasks)
+                if lhs != rhs_of[z]
+            ]
         located = None
-        for classes, lhs, zmask in zip(first, _taught(rows, first), zmasks):
-            rhs = rhs_of[zmask]
-            if lhs != rhs:
-                found = first[classes]
-                if exhaustive:
-                    found = (_set_index(list(_points(classes)), width), classes)
-                elif found is None:
-                    located = located or first_sampled(keymask, low)
-                    if (found := located.get(classes)) is None:
-                        continue  # no sampled set touches exactly these classes
-                for ci, left, right in zip(family, lhs, rhs):
-                    if left != right:
-                        first_fail[ci] = min(first_fail.get(ci, found), found)
+        for c, positions in failing[shape]:
+            if exhaustive:
+                # The first candidate touching exactly these classes takes their lowest points.
+                pts = [lowest[bits[j]] for j in _points(c)]
+                found = (_set_index(pts, width), sum(map(bits.__getitem__, pts)))
+            elif first:
+                found = first[c]
+            else:
+                located = located or first_sampled(keymask, low)
+                if (found := located.get(c)) is None:
+                    continue  # no sampled set touches exactly these classes
+            for ci in map(family.__getitem__, positions):
+                first_fail[ci] = min(first_fail.get(ci, found), found)
     if first_fail:
         ci = min(first_fail)
         idx, mask = first_fail[ci]

@@ -175,9 +175,15 @@ def rtd_decision(klass: ConceptClass, k: int) -> tuple[bool, TeachingPlan | None
     return plan is not None, plan
 
 
-def _strip_decision(klass: ConceptClass, k: int, top: int) -> tuple[int, TeachingPlan | None]:
+def _strip_decision(
+    klass: ConceptClass, k: int, top: int, lex: bool = True
+) -> tuple[int, TeachingPlan | None]:
     """Strip as rtd_decision does, but when a round strips nothing raise k, up to `top`,
     to the least size its failed searches left open: no k in between strips anything.
+
+    Without `lex` each step's set is some teaching set of at most k points, not
+    the lex-min one.  Which concept a round strips never depends on its set, so
+    k and whether a plan exists are the same either way.
     """
     rows = list(map(klass.row_mask, range(len(klass.concepts))))
     remaining = list(range(len(rows)))
@@ -186,9 +192,9 @@ def _strip_decision(klass: ConceptClass, k: int, top: int) -> tuple[int, Teachin
         alive = [rows[j] for j in remaining]
         bound = top
         for ci in remaining:
-            size, witness = _min_hitting_set(_diffs(alive, rows[ci]), k)
+            size, witness = _min_hitting_set(_diffs(alive, rows[ci]), k, lex)
             if witness is not None:
-                steps.append((klass.concepts[ci].label, witness))
+                steps.append((klass.concepts[ci].label, witness if lex else tuple(_points(witness))))
                 remaining.remove(ci)
                 break
             bound = min(bound, size)

@@ -287,8 +287,8 @@ def _unsound(out, pattern, points):
             "observation counterexample: ('h100', (0,))",
         ),
         (
-            "rtd_decision",
-            lambda klass, k: (False, None),
+            "_strip_decision",
+            lambda klass, k, top, lex: (k, None),
             "dominating-set answer and RTD decision disagree",
         ),
     ],

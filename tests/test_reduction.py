@@ -30,7 +30,7 @@ from teachdim import (
     shinohara_reduce,
     witness_plan,
 )
-from teachdim import reduction
+from teachdim import model, reduction
 from teachdim.reduction import _set_index
 from conftest import (
     all_labeled_graphs,
@@ -431,6 +431,53 @@ def test_observations_sample_only_to_locate_a_failure(monkeypatch):
     report = check_observations(_pinned_flips()["h010"], max_sets=50)
     assert (report.sets_checked, report.exhaustive, report.counterexample) == (26, False, ("h100", (2, 14)))
     assert draws == [0]
+
+
+def _count_taught(monkeypatch) -> list[int]:
+    """Count the calls of `_taught` that the observation replay makes."""
+    calls = []
+
+    def counted(rows, sets):
+        calls.append(len(rows))
+        return model._taught(rows, sets)
+
+    monkeypatch.setattr(reduction, "_taught", counted)
+    return calls
+
+
+def test_observations_decide_one_shape_per_untampered_reduction(monkeypatch):
+    # All N+1 families of an untampered reduction share one shape, so the
+    # replay runs `_taught` twice at any N: on its rows and on the gadget z-masks.
+    calls = _count_taught(monkeypatch)
+    for n, k in [(4, 1), (6, 1), (5, 2), (8, 2)]:
+        out = domset_to_rtd(Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)]), k)
+        for kwargs in [{}, {"max_sets": 2000}]:
+            calls.clear()
+            assert check_observations(out, **kwargs).ok
+            assert len(calls) == 2, (n, k, kwargs)
+
+
+def test_observations_keep_tampered_families_apart(monkeypatch):
+    # The same relative bit flipped in two vertex families gives them one
+    # shape, decided once; flipped in one family only, that family has a
+    # shape of its own.  Each report equals the pair-by-pair reference.
+    calls = _count_taught(monkeypatch)
+    path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    for g, k, pattern in [(K3, 1, "010"), (path3, 1, "100"), (path3, 2, "01010")]:
+        out = domset_to_rtd(g, k)
+        for zv in (True, False):
+            flipped = []
+            for u in (0, 1):
+                index = out.zv_index(pattern.index("0"), u) if zv else out.vz_index(u, 1)
+                flipped.append(_flip(flipped[-1] if flipped else out, f"v{u + 1}.h{pattern}", index))
+            for tampered in flipped:
+                for kwargs in [{}, {"max_sets": 5}, {"max_sets": 50}, {"max_sets": 2000}]:
+                    calls.clear()
+                    report = check_observations(tampered, **kwargs)
+                    assert report == ref_check_observations(tampered, **kwargs), (k, pattern, zv, kwargs)
+                    if not kwargs:
+                        assert not report.ok
+                        assert len(calls) == 4  # the clean shape and one tampered shape
 
 
 def test_set_index_is_the_position_in_size_then_lex_order():

@@ -142,7 +142,7 @@ def test_imports_stay_within_the_standard_set():
     allowed = {
         teachdim.__name__, "__future__", "argparse", "collections", "dataclasses", "functools",
         "hashlib", "io", "itertools", "json", "math", "operator", "os", "pathlib", "random", "sys",
-        "time", "typing",
+        "time",
     }
     found = []
     for path in SOURCES:

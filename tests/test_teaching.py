@@ -16,6 +16,7 @@ from teachdim import (
     build_gadget,
     check_plan,
     domset_to_rtd,
+    gen_random_graph,
     min_teaching_set,
     rtd,
     rtd_decision,
@@ -26,6 +27,7 @@ from teachdim import (
 )
 from teachdim import teaching
 from conftest import (
+    all_labeled_graphs,
     bf_min_domset,
     bf_min_ts,
     bf_rtd,
@@ -252,6 +254,25 @@ def test_decision_witness_always_checks_out(seed):
     ok, plan = rtd_decision(klass, k)
     if ok:
         assert check_plan(klass, plan) <= k
+
+
+def test_lex_free_decision_is_the_decision():
+    # `verify` decides without the lex-min sets, as `_strip_decision(..., lex=False)`.
+    # Which concept a round strips never depends on its set, so the strip order,
+    # and with it the verdict, is rtd_decision's: on every reduction of the
+    # acceptance sweep at k = 1 and 2, and on 300 seeded classes at k = 0..3.
+    graphs = [g for n in (2, 3, 4) for g in all_labeled_graphs(n)]
+    graphs += [gen_random_graph(5, 0.5, seed) for seed in range(200)]
+    cases = [(domset_to_rtd(g, k).klass, k) for g in graphs for k in (1, 2) if k <= g.n]
+    rng = random.Random(2550)
+    cases += [(random_class(rng), k) for _ in range(300) for k in range(4)]
+    for klass, k in cases:
+        value, plan = teaching._strip_decision(klass, k, k, lex=False)
+        decided, lex_plan = rtd_decision(klass, k)
+        assert (value, plan is not None) == (k, decided)
+        if decided:
+            assert [label for label, _ in plan.steps] == [label for label, _ in lex_plan.steps]
+            assert check_plan(klass, plan) <= k
 
 
 # -- rtd ---------------------------------------------------------------------------
